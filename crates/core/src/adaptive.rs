@@ -49,8 +49,9 @@ use std::time::Instant;
 
 /// Structural profile of a bipartite graph — everything the cost model
 /// reads. Cheap: one pass over the two degree arrays for the side terms,
-/// plus one degree sort and one edge pass for the exact vertex-priority
-/// work term (still far below the counting work it predicts).
+/// plus one counting sort of the degrees and one edge pass for the exact
+/// vertex-priority work term (still far below the counting work it
+/// predicts).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphProfile {
     /// `|V1|` (rows of `A`).
@@ -341,16 +342,18 @@ pub const BLOCKED_MIN_PARTITION: usize = 1 << 16;
 pub const DEFAULT_BLOCK_SIZE: usize = 4096;
 
 /// Best-fixed-side wedge-work floor below which the global-order members
-/// are never selected: the priority rank sort plus the extra edge pass
-/// cost more than they can save on tiny inputs.
+/// are never selected: on tiny inputs the fixed cost of the priority
+/// path (the `O(V)` counting-sort rank pass, the extra edge pass and the
+/// rank arrays) outweighs any wedge work it can save.
 pub const PRIORITY_MIN_WORK: u64 = 1 << 10;
 
 /// Fraction of the best fixed side's work the priority wedge total must
 /// undercut before a global-order member is selected. The margin absorbs
-/// the rank-sort overhead and the slightly worse locality of combined
-/// `V1 ∪ V2` iteration; measured on the stand-in generators, strongly
-/// skewed graphs land at 0.75–0.86 (selected) while near-uniform graphs
-/// land at 1.0–1.3 (rejected).
+/// the slightly worse locality of combined `V1 ∪ V2` iteration, plus the
+/// linear rank and edge passes, which are small next to the wedge work
+/// since ranking became a counting sort. Measured on the stand-in
+/// generators, strongly skewed graphs land at 0.75–0.86 (selected) while
+/// near-uniform graphs land at 1.0–1.3 (rejected).
 pub const PRIORITY_ADVANTAGE: f64 = 0.9;
 
 /// Sequential selection: [`select_plan`] with `parallel = false`.

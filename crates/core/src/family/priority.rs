@@ -50,7 +50,8 @@ pub struct PriorityRanks {
 }
 
 impl PriorityRanks {
-    /// Sort both degree arrays into the total order (`O(V log V)`).
+    /// Counting-sort both degree arrays into the total order
+    /// (`O(V + max_deg)`).
     pub fn compute(g: &BipartiteGraph) -> PriorityRanks {
         let (rank_v1, rank_v2) = global_degree_ranks(g);
         PriorityRanks { rank_v1, rank_v2 }
@@ -59,7 +60,7 @@ impl PriorityRanks {
 
 /// Exact number of wedges the priority kernel expands on `g`: the
 /// closed form `Σ_j [C(deg(j), 2) − C(g_j, 2)]` over both sides, with
-/// `g_j` = neighbours of `j` out-ranking `j`. `O(E + V log V)`; equals
+/// `g_j` = neighbours of `j` out-ranking `j`. `O(E + V)`; equals
 /// the kernel's `wedges_expanded` counter on every graph, which is what
 /// lets [`Plan::forecast`](crate::adaptive::Plan::forecast) stay exact
 /// for the priority and ranked members.

@@ -1083,106 +1083,26 @@ fn stream_edges<R: Read>(
     format: TextFormat,
     mut emit: impl FnMut(u32, u32) -> Result<(), IoError>,
 ) -> Result<StreamInfo, IoError> {
-    use std::io::BufRead;
-    let reader = BufReader::new(reader);
     match format {
         TextFormat::Konect | TextFormat::EdgeList => {
             let one_based = format == TextFormat::Konect;
-            let mut header: Option<(usize, u64, u64, u64)> = None;
-            let mut data_lines = 0u64;
-            for (lineno, line) in reader.lines().enumerate() {
-                let line = line?;
-                let line = if lineno == 0 {
-                    crate::io::strip_bom(&line).to_string()
-                } else {
-                    line
-                };
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
+            let scan = crate::io::scan_edge_list(reader, one_based, |u, v, header| {
+                if let Some(header) = header {
+                    header.check_edge(u, v)?;
                 }
-                if trimmed.starts_with('%') || trimmed.starts_with('#') {
-                    if header.is_none() && data_lines == 0 {
-                        let body = trimmed.trim_start_matches(['%', '#']);
-                        let nums: Vec<u64> = body
-                            .split_whitespace()
-                            .map_while(|t| t.parse().ok())
-                            .collect();
-                        if nums.len() == 3 && body.split_whitespace().count() == 3 {
-                            header = Some((lineno + 1, nums[0], nums[1], nums[2]));
-                        }
-                    }
-                    continue;
-                }
-                data_lines += 1;
-                let mut it = trimmed.split_whitespace();
-                let (us, vs) = match (it.next(), it.next()) {
-                    (Some(u), Some(v)) => (u, v),
-                    _ => {
-                        return Err(IoError::Parse {
-                            line: lineno + 1,
-                            msg: format!("expected at least two fields, got {trimmed:?}"),
-                        })
-                    }
-                };
-                let parse = |s: &str| -> Result<u32, IoError> {
-                    s.parse::<u32>().map_err(|e| IoError::Parse {
-                        line: lineno + 1,
-                        msg: format!("bad vertex id {s:?}: {e}"),
-                    })
-                };
-                let (mut u, mut v) = (parse(us)?, parse(vs)?);
-                if one_based {
-                    if u == 0 || v == 0 {
-                        return Err(IoError::Parse {
-                            line: lineno + 1,
-                            msg: "vertex id 0 in a 1-based file".to_string(),
-                        });
-                    }
-                    u -= 1;
-                    v -= 1;
-                }
-                if let Some((hline, _, nv1, nv2)) = header {
-                    if u as u64 >= nv1 || v as u64 >= nv2 {
-                        return Err(IoError::Parse {
-                            line: hline,
-                            msg: format!(
-                                "edge ({u}, {v}) outside the declared {nv1}x{nv2} vertex sets (0-based)"
-                            ),
-                        });
-                    }
-                }
-                emit(u, v)?;
+                emit(u, v)
+            })?;
+            if let Some(header) = &scan.header {
+                header.check_totals(scan.data_lines)?;
             }
-            let declared_dims = match header {
-                Some((hline, ne, nv1, nv2)) => {
-                    if ne != data_lines {
-                        return Err(IoError::Parse {
-                            line: hline,
-                            msg: format!(
-                                "header declares {ne} edges but the file has {data_lines} data lines"
-                            ),
-                        });
-                    }
-                    if nv1 > u32::MAX as u64 || nv2 > u32::MAX as u64 {
-                        return Err(IoError::Parse {
-                            line: hline,
-                            msg: format!(
-                                "declared vertex-set sizes {nv1}x{nv2} exceed u32 indices"
-                            ),
-                        });
-                    }
-                    Some((hline, nv1, nv2))
-                }
-                None => None,
-            };
             Ok(StreamInfo {
-                data_lines,
-                declared_dims,
+                data_lines: scan.data_lines,
+                declared_dims: scan.header.map(|h| (h.line, h.nv1, h.nv2)),
             })
         }
         TextFormat::MatrixMarket => {
-            let mut lines = reader.lines();
+            use std::io::BufRead;
+            let mut lines = BufReader::new(reader).lines();
             let mut first = true;
             let header = loop {
                 match lines.next() {

@@ -17,6 +17,29 @@
 //! with 0-based indices and no header. If real KONECT files are available
 //! locally they can be fed straight into the same harness that runs the
 //! synthetic stand-ins.
+//!
+//! The accepted line rules, shared by both readers and by the `.bfly`
+//! converter ([`crate::bfly_format::convert_to_bfly`]):
+//!
+//! * Lines end at `\n`. A trailing `\r` is whitespace, so CRLF files
+//!   parse the same. The file must be valid UTF-8 (otherwise
+//!   [`IoError::Io`] with kind `InvalidData`); a BOM is dropped from the
+//!   first line only.
+//! * Whitespace is `char::is_whitespace`: ASCII space, `\t`, `\n`,
+//!   `\x0B`, `\x0C`, `\r`, and Unicode spaces such as U+00A0 and U+3000.
+//!   Lines are trimmed and split on it; blank lines are skipped.
+//! * A line whose first character is `%` or `#` is a comment. The first
+//!   comment before any data line whose payload is exactly three
+//!   unsigned integers is the `nedges nv1 nv2` size header, and the file
+//!   must agree with it.
+//! * Every other line is a data line. Its first two tokens are vertex
+//!   ids as `u32::from_str` reads them: decimal digits, leading zeros
+//!   and a leading `+` allowed, no sign `-`, at most `u32::MAX`. Further
+//!   tokens are ignored. An id of 0 in a 1-based file is an error.
+//!
+//! Parsing is byte-level on all-ASCII data lines whose ids are plain
+//! digits; every other line takes the `str` rules above, which own all
+//! [`IoError::Parse`] messages.
 
 use crate::bipartite::BipartiteGraph;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -63,55 +86,186 @@ pub(crate) fn strip_bom(s: &str) -> &str {
     s.strip_prefix('\u{feff}').unwrap_or(s)
 }
 
-/// A parsed edge list plus the metadata needed to cross-check it against
-/// its own header.
-struct ParsedPairs {
-    edges: Vec<(u32, u32)>,
-    /// First `%`/`#` comment before any data line whose payload is
-    /// exactly three integers — KONECT's `% nedges nv1 nv2` size header.
-    /// Stored as `(line, nedges, nv1, nv2)`.
-    header: Option<(usize, u64, u64, u64)>,
-    /// Data lines seen, pre-dedup (duplicate edges collapse later, so
-    /// this — not the final edge count — is what the header declares).
-    data_lines: usize,
+/// KONECT's `% nedges nv1 nv2` size header: the first `%`/`#` comment
+/// before any data line whose payload is exactly three integers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SizeHeader {
+    /// 1-based line of the header; every contradiction is reported there.
+    pub(crate) line: usize,
+    /// Declared data lines (pre-dedup, so duplicate edges still count).
+    pub(crate) nedges: u64,
+    /// Declared `|V1|`.
+    pub(crate) nv1: u64,
+    /// Declared `|V2|`.
+    pub(crate) nv2: u64,
 }
 
-fn parse_pairs<R: Read>(reader: R, one_based: bool) -> Result<ParsedPairs, IoError> {
-    let reader = BufReader::new(reader);
-    let mut edges = Vec::new();
-    let mut header: Option<(usize, u64, u64, u64)> = None;
-    let mut data_lines = 0usize;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = if lineno == 0 {
-            strip_bom(&line)
-        } else {
-            line.as_str()
+impl SizeHeader {
+    fn error(&self, msg: String) -> IoError {
+        IoError::Parse {
+            line: self.line,
+            msg,
+        }
+    }
+
+    /// The checks that need the whole file: the declared edge count
+    /// against the data lines seen, then the declared sizes against u32
+    /// indices.
+    pub(crate) fn check_totals(&self, data_lines: u64) -> Result<(), IoError> {
+        let (ne, nv1, nv2) = (self.nedges, self.nv1, self.nv2);
+        if ne != data_lines {
+            return Err(self.error(format!(
+                "header declares {ne} edges but the file has {data_lines} data lines"
+            )));
+        }
+        if nv1 > u32::MAX as u64 || nv2 > u32::MAX as u64 {
+            return Err(self.error(format!(
+                "declared vertex-set sizes {nv1}x{nv2} exceed u32 indices"
+            )));
+        }
+        Ok(())
+    }
+
+    /// A 0-based edge must lie inside the declared vertex sets.
+    pub(crate) fn check_edge(&self, u: u32, v: u32) -> Result<(), IoError> {
+        let (nv1, nv2) = (self.nv1, self.nv2);
+        if u as u64 >= nv1 || v as u64 >= nv2 {
+            return Err(self.error(format!(
+                "edge ({u}, {v}) outside the declared {nv1}x{nv2} vertex sets (0-based)"
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// What a scan saw besides the edges it emitted.
+pub(crate) struct ScanSummary {
+    /// The size header, when the file carries one.
+    pub(crate) header: Option<SizeHeader>,
+    /// Data lines seen, pre-dedup (duplicate edges collapse later, so
+    /// this — not the final edge count — is what the header declares).
+    pub(crate) data_lines: u64,
+}
+
+/// The bytes below 0x80 that `char::is_whitespace` accepts, less the
+/// `\n` that ends a line. Unlike `u8::is_ascii_whitespace`, this
+/// includes `\x0B`.
+fn is_inline_space(b: u8) -> bool {
+    matches!(b, b'\t' | 0x0B | 0x0C | b'\r' | b' ')
+}
+
+/// A run of decimal digits at `line[start..]` that fits in u32 and ends
+/// at whitespace, `\n` or the end of `line`: its value and end offset.
+fn ascii_u32(line: &[u8], start: usize) -> Option<(u32, usize)> {
+    let mut value = 0u64;
+    let mut end = start;
+    while let Some(&b) = line.get(end).filter(|b| b.is_ascii_digit()) {
+        value = value * 10 + u64::from(b - b'0');
+        if value > u64::from(u32::MAX) {
+            return None;
+        }
+        end += 1;
+    }
+    let terminated = line
+        .get(end)
+        .is_none_or(|&b| b == b'\n' || is_inline_space(b));
+    (end > start && terminated).then_some((value as u32, end))
+}
+
+/// Fast path for the line at the start of `bytes`, which ends at the
+/// first `\n` or at the end of `bytes`. Accepts an all-ASCII line whose
+/// first two tokens are pure digits fitting u32 (and nonzero in a
+/// 1-based file), returning the 0-based pair and the line's length. It
+/// never rejects: `None` hands the line to [`LineRules::slow_line`],
+/// which owns every other case and every error, so the two paths cannot
+/// disagree. One pass over the line's bytes.
+fn fast_pair(bytes: &[u8], one_based: bool) -> Option<(u32, u32, usize)> {
+    let skip_space = |mut i: usize| {
+        while bytes.get(i).is_some_and(|&b| is_inline_space(b)) {
+            i += 1;
+        }
+        i
+    };
+    let (u, end) = ascii_u32(bytes, skip_space(0))?;
+    let (v, mut end) = ascii_u32(bytes, skip_space(end))?;
+    // The rest of the line is ignored, but must be ASCII: anything else
+    // may be invalid UTF-8, which only the slow path reports.
+    while let Some(&b) = bytes.get(end).filter(|&&b| b != b'\n') {
+        if !b.is_ascii() {
+            return None;
+        }
+        end += 1;
+    }
+    match one_based {
+        false => Some((u, v, end)),
+        true if u > 0 && v > 0 => Some((u - 1, v - 1, end)),
+        true => None,
+    }
+}
+
+/// The per-line state of an edge-list scan.
+struct LineRules {
+    one_based: bool,
+    header: Option<SizeHeader>,
+    data_lines: u64,
+}
+
+impl LineRules {
+    /// Parse line `lineno` (0-based, without its `\n`) and hand the edge
+    /// of a data line to `emit`; blank lines and comments emit nothing.
+    fn feed<E>(&mut self, bytes: &[u8], lineno: usize, emit: &mut E) -> Result<(), IoError>
+    where
+        E: FnMut(u32, u32, Option<&SizeHeader>) -> Result<(), IoError>,
+    {
+        let edge = match fast_pair(bytes, self.one_based) {
+            Some((u, v, _)) => {
+                self.data_lines += 1;
+                Some((u, v))
+            }
+            None => {
+                let line = std::str::from_utf8(bytes).map_err(|_| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        "stream did not contain valid UTF-8",
+                    )
+                })?;
+                self.slow_line(line, lineno)?
+            }
         };
+        match edge {
+            Some((u, v)) => emit(u, v, self.header.as_ref()),
+            None => Ok(()),
+        }
+    }
+
+    /// The `str` rules every line the fast path does not accept goes
+    /// through: comments and the size header, BOM, Unicode whitespace,
+    /// and every parse error.
+    fn slow_line(&mut self, line: &str, lineno: usize) -> Result<Option<(u32, u32)>, IoError> {
+        let line = if lineno == 0 { strip_bom(line) } else { line };
         let trimmed = line.trim();
         if trimmed.is_empty() {
-            continue;
+            return Ok(None);
         }
         if trimmed.starts_with('%') || trimmed.starts_with('#') {
-            if header.is_none() && data_lines == 0 {
-                let nums: Vec<u64> = trimmed
-                    .trim_start_matches(['%', '#'])
+            if self.header.is_none() && self.data_lines == 0 {
+                let body = trimmed.trim_start_matches(['%', '#']);
+                let nums: Vec<u64> = body
                     .split_whitespace()
                     .map_while(|t| t.parse().ok())
                     .collect();
-                if nums.len() == 3
-                    && trimmed
-                        .trim_start_matches(['%', '#'])
-                        .split_whitespace()
-                        .count()
-                        == 3
-                {
-                    header = Some((lineno + 1, nums[0], nums[1], nums[2]));
+                if nums.len() == 3 && body.split_whitespace().count() == 3 {
+                    self.header = Some(SizeHeader {
+                        line: lineno + 1,
+                        nedges: nums[0],
+                        nv1: nums[1],
+                        nv2: nums[2],
+                    });
                 }
             }
-            continue;
+            return Ok(None);
         }
-        data_lines += 1;
+        self.data_lines += 1;
         let mut it = trimmed.split_whitespace();
         let (us, vs) = match (it.next(), it.next()) {
             (Some(u), Some(v)) => (u, v),
@@ -122,15 +276,14 @@ fn parse_pairs<R: Read>(reader: R, one_based: bool) -> Result<ParsedPairs, IoErr
                 })
             }
         };
-        let parse = |s: &str, lineno: usize| -> Result<u32, IoError> {
+        let parse = |s: &str| -> Result<u32, IoError> {
             s.parse::<u32>().map_err(|e| IoError::Parse {
                 line: lineno + 1,
                 msg: format!("bad vertex id {s:?}: {e}"),
             })
         };
-        let mut u = parse(us, lineno)?;
-        let mut v = parse(vs, lineno)?;
-        if one_based {
+        let (mut u, mut v) = (parse(us)?, parse(vs)?);
+        if self.one_based {
             if u == 0 || v == 0 {
                 return Err(IoError::Parse {
                     line: lineno + 1,
@@ -140,13 +293,94 @@ fn parse_pairs<R: Read>(reader: R, one_based: bool) -> Result<ParsedPairs, IoErr
             u -= 1;
             v -= 1;
         }
-        edges.push((u, v));
+        Ok(Some((u, v)))
     }
-    Ok(ParsedPairs {
-        edges,
-        header,
-        data_lines,
+}
+
+/// Scan a KONECT file or edge list line by line, handing every 0-based
+/// edge to `emit` together with the size header seen so far. Memory is
+/// one read buffer plus the longest line: lines are cut straight out of
+/// `fill_buf` slices, and only a line that straddles two slices is
+/// copied. Both the in-memory readers and the `.bfly` converter parse
+/// through here.
+pub(crate) fn scan_edge_list<R: Read>(
+    reader: R,
+    one_based: bool,
+    mut emit: impl FnMut(u32, u32, Option<&SizeHeader>) -> Result<(), IoError>,
+) -> Result<ScanSummary, IoError> {
+    let mut reader = BufReader::new(reader);
+    let mut rules = LineRules {
+        one_based,
+        header: None,
+        data_lines: 0,
+    };
+    let mut carry: Vec<u8> = Vec::new();
+    let mut lineno = 0usize;
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        let filled = buf.len();
+        if filled == 0 {
+            break;
+        }
+        let mut rest = buf;
+        if !carry.is_empty() {
+            // Finish the line cut at the end of the previous slice.
+            let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+                carry.extend_from_slice(rest);
+                reader.consume(filled);
+                continue;
+            };
+            carry.extend_from_slice(&rest[..nl]);
+            rules.feed(&carry, lineno, &mut emit)?;
+            carry.clear();
+            lineno += 1;
+            rest = &rest[nl + 1..];
+        }
+        loop {
+            // A line the fast path accepts in full, with its `\n` inside
+            // this slice, needs no separate newline search; every other
+            // line is cut out first.
+            let nl = match fast_pair(rest, one_based) {
+                Some((u, v, len)) if len < rest.len() => {
+                    rules.data_lines += 1;
+                    emit(u, v, rules.header.as_ref())?;
+                    len
+                }
+                _ => match rest.iter().position(|&b| b == b'\n') {
+                    Some(nl) => {
+                        rules.feed(&rest[..nl], lineno, &mut emit)?;
+                        nl
+                    }
+                    None => break,
+                },
+            };
+            lineno += 1;
+            rest = &rest[nl + 1..];
+        }
+        carry.extend_from_slice(rest);
+        reader.consume(filled);
+    }
+    if !carry.is_empty() {
+        rules.feed(&carry, lineno, &mut emit)?;
+    }
+    Ok(ScanSummary {
+        header: rules.header,
+        data_lines: rules.data_lines,
     })
+}
+
+/// Scan `reader` into a graph, cross-checked against its size header.
+fn read_pairs<R: Read>(reader: R, one_based: bool) -> Result<BipartiteGraph, IoError> {
+    let mut edges = Vec::new();
+    let scan = scan_edge_list(reader, one_based, |u, v, _| {
+        edges.push((u, v));
+        Ok(())
+    })?;
+    graph_checked_against_header(edges, &scan)
 }
 
 fn graph_from_pairs(edges: Vec<(u32, u32)>) -> BipartiteGraph {
@@ -170,39 +404,19 @@ fn graph_from_pairs(edges: Vec<(u32, u32)>) -> BipartiteGraph {
 /// silently misshapen graph. With a consistent header the *declared*
 /// dimensions are used, so trailing isolated vertices survive a
 /// write/read roundtrip; headerless files keep the inferred dimensions.
-fn graph_checked_against_header(p: ParsedPairs) -> Result<BipartiteGraph, IoError> {
-    let Some((line, ne, nv1, nv2)) = p.header else {
-        return Ok(graph_from_pairs(p.edges));
+fn graph_checked_against_header(
+    edges: Vec<(u32, u32)>,
+    scan: &ScanSummary,
+) -> Result<BipartiteGraph, IoError> {
+    let Some(header) = scan.header else {
+        return Ok(graph_from_pairs(edges));
     };
-    if ne != p.data_lines as u64 {
-        return Err(IoError::Parse {
-            line,
-            msg: format!(
-                "header declares {ne} edges but the file has {} data lines",
-                p.data_lines
-            ),
-        });
+    header.check_totals(scan.data_lines)?;
+    for &(u, v) in &edges {
+        header.check_edge(u, v)?;
     }
-    if nv1 > u32::MAX as u64 || nv2 > u32::MAX as u64 {
-        return Err(IoError::Parse {
-            line,
-            msg: format!("declared vertex-set sizes {nv1}x{nv2} exceed u32 indices"),
-        });
-    }
-    for &(u, v) in &p.edges {
-        if u as u64 >= nv1 || v as u64 >= nv2 {
-            return Err(IoError::Parse {
-                line,
-                msg: format!(
-                    "edge ({u}, {v}) outside the declared {nv1}x{nv2} vertex sets (0-based)"
-                ),
-            });
-        }
-    }
-    BipartiteGraph::from_edges(nv1 as usize, nv2 as usize, &p.edges).map_err(|e| IoError::Parse {
-        line,
-        msg: format!("structural error: {e}"),
-    })
+    BipartiteGraph::from_edges(header.nv1 as usize, header.nv2 as usize, &edges)
+        .map_err(|e| header.error(format!("structural error: {e}")))
 }
 
 /// Parse a KONECT `out.*` bipartite file (1-based indices, `%` comments)
@@ -212,13 +426,13 @@ fn graph_checked_against_header(p: ParsedPairs) -> Result<BipartiteGraph, IoErro
 /// [`graph_checked_against_header`]); otherwise vertex-set sizes are
 /// inferred from the maximum indices.
 pub fn read_konect<R: Read>(reader: R) -> Result<BipartiteGraph, IoError> {
-    graph_checked_against_header(parse_pairs(reader, true)?)
+    read_pairs(reader, true)
 }
 
 /// Parse a 0-based whitespace edge list (comments `%`/`#` allowed, BOM
 /// and CRLF tolerated, size header enforced when present).
 pub fn read_edge_list<R: Read>(reader: R) -> Result<BipartiteGraph, IoError> {
-    graph_checked_against_header(parse_pairs(reader, false)?)
+    read_pairs(reader, false)
 }
 
 /// Load a KONECT file from disk.

@@ -9,19 +9,64 @@
 
 use crate::bipartite::{BipartiteGraph, Side};
 
+/// Stable counting sort of vertices by degree in `O(V + max_deg)`.
+///
+/// The vertices of `sides` are placed in that order, ids ascending within
+/// a side, so equal degrees keep exactly that order: earlier side first,
+/// then lower id. Returns one position vector per entry of `sides`:
+/// `pos[k][id]` is where vertex `id` of `sides[k]` lands in the order of
+/// non-decreasing (`descending = false`) or non-increasing degree.
+fn degree_positions(g: &BipartiteGraph, sides: &[Side], descending: bool) -> Vec<Vec<u32>> {
+    let degrees = |side: Side| {
+        (0..g.nvertices(side)).map(move |x| match side {
+            Side::V1 => g.deg_v1(x),
+            Side::V2 => g.deg_v2(x),
+        })
+    };
+    let max_deg = sides
+        .iter()
+        .flat_map(|&side| degrees(side))
+        .max()
+        .unwrap_or(0);
+    // Bucket index: the degree itself, or its mirror when descending, so
+    // the exclusive prefix sum below always walks buckets in output order.
+    let bucket = |d: usize| if descending { max_deg - d } else { d };
+    let mut next = vec![0u32; max_deg + 1];
+    for &side in sides {
+        for d in degrees(side) {
+            next[bucket(d)] += 1;
+        }
+    }
+    let mut start = 0u32;
+    for slot in &mut next {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    sides
+        .iter()
+        .map(|&side| {
+            degrees(side)
+                .map(|d| {
+                    let slot = &mut next[bucket(d)];
+                    let pos = *slot;
+                    *slot += 1;
+                    pos
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// Permutation `perm[new_index] = old_index` sorting one side by
 /// non-decreasing degree (ties broken by vertex id for determinism).
 pub fn degree_ascending(g: &BipartiteGraph, side: Side) -> Vec<u32> {
-    let count = g.nvertices(side);
-    let mut perm: Vec<u32> = (0..count as u32).collect();
-    match side {
-        Side::V1 => perm.sort_by_key(|&u| (g.deg_v1(u as usize), u)),
-        Side::V2 => perm.sort_by_key(|&v| (g.deg_v2(v as usize), v)),
-    }
-    perm
+    let pos = degree_positions(g, &[side], false);
+    invert_permutation(&pos[0])
 }
 
-/// Permutation sorting one side by non-increasing degree.
+/// Permutation sorting one side by non-increasing degree: the exact
+/// reverse of [`degree_ascending`], so ties run by descending id.
 pub fn degree_descending(g: &BipartiteGraph, side: Side) -> Vec<u32> {
     let mut perm = degree_ascending(g, side);
     perm.reverse();
@@ -57,28 +102,11 @@ pub fn relabel(g: &BipartiteGraph, side: Side, perm: &[u32]) -> BipartiteGraph {
 /// A total priority over *all* `|V1| + |V2|` vertices by non-increasing
 /// degree (ties by side, then id). Returns `(rank_v1, rank_v2)`: lower rank
 /// = higher priority. This is the order the vertex-priority baseline
-/// (BFC-VP) peels wedges in.
+/// (BFC-VP) peels wedges in. One counting sort: `O(V + max_deg)`.
 pub fn global_degree_ranks(g: &BipartiteGraph) -> (Vec<u32>, Vec<u32>) {
-    let m = g.nv1();
-    let n = g.nv2();
-    // Entries: (degree, side, id). Sort descending by degree.
-    let mut all: Vec<(usize, u8, u32)> = Vec::with_capacity(m + n);
-    for u in 0..m {
-        all.push((g.deg_v1(u), 0, u as u32));
-    }
-    for v in 0..n {
-        all.push((g.deg_v2(v), 1, v as u32));
-    }
-    all.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    let mut rank_v1 = vec![0u32; m];
-    let mut rank_v2 = vec![0u32; n];
-    for (rank, &(_, side, id)) in all.iter().enumerate() {
-        if side == 0 {
-            rank_v1[id as usize] = rank as u32;
-        } else {
-            rank_v2[id as usize] = rank as u32;
-        }
-    }
+    let mut pos = degree_positions(g, &[Side::V1, Side::V2], true);
+    let rank_v2 = pos.pop().expect("one position vector per side");
+    let rank_v1 = pos.pop().expect("one position vector per side");
     (rank_v1, rank_v2)
 }
 
