@@ -4,8 +4,7 @@
 //! the partitioned side; and the vertex-priority baseline (which *needs*
 //! the order) is included for reference.
 
-use bfly_core::baseline::count_vertex_priority;
-use bfly_core::{count, Invariant};
+use bfly_core::{count, count_priority, Invariant};
 use bfly_graph::ordering::{degree_ascending, degree_descending, relabel};
 use bfly_graph::{Side, StandIn};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -34,7 +33,7 @@ fn bench_ordering(c: &mut Criterion) {
         });
     }
     group.bench_function("vertex_priority/natural", |b| {
-        b.iter(|| black_box(count_vertex_priority(&g)))
+        b.iter(|| black_box(count_priority(&g)))
     });
     group.finish();
 }

@@ -3,9 +3,9 @@
 //! stand-in.
 
 use bfly_bench::{load_datasets, scale_from_env};
-use bfly_core::baseline::{count_hash_aggregation, count_vertex_priority};
+use bfly_core::baseline::count_hash_aggregation;
 use bfly_core::spec::count_via_spgemm;
-use bfly_core::{count, Invariant};
+use bfly_core::{count, count_priority, Invariant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -24,7 +24,7 @@ fn bench_baselines(c: &mut Criterion) {
             b.iter(|| black_box(count_hash_aggregation(g)))
         });
         group.bench_with_input(BenchmarkId::new("vertex_priority", name), g, |b, g| {
-            b.iter(|| black_box(count_vertex_priority(g)))
+            b.iter(|| black_box(count_priority(g)))
         });
         group.bench_with_input(BenchmarkId::new("spgemm", name), g, |b, g| {
             b.iter(|| black_box(count_via_spgemm(g)))

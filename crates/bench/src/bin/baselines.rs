@@ -5,10 +5,9 @@
 use bfly_bench::{best_of, load_datasets, scale_from_env, time_one};
 use bfly_core::baseline::{
     approx_count_edge_sampling, approx_count_vertex_sampling, count_hash_aggregation,
-    count_vertex_priority,
 };
 use bfly_core::spec::count_via_spgemm;
-use bfly_core::{count, Invariant};
+use bfly_core::{count, count_priority, Invariant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,7 +22,7 @@ fn main() {
         let spec = d.spec();
         let (t_fam, xi) = best_of(2, || count(&g, Invariant::Inv2));
         let (t_hash, xi_h) = best_of(2, || count_hash_aggregation(&g));
-        let (t_vp, xi_v) = best_of(2, || count_vertex_priority(&g));
+        let (t_vp, xi_v) = best_of(2, || count_priority(&g));
         let (t_mm, xi_m) = best_of(2, || count_via_spgemm(&g));
         assert_eq!(xi, xi_h);
         assert_eq!(xi, xi_v);

@@ -7,9 +7,9 @@
 //! ```
 
 use bfly_bench::{best_of, load_datasets, scale_from_env, threads_from_env};
-use bfly_core::baseline::{count_hash_aggregation, count_vertex_priority};
+use bfly_core::baseline::count_hash_aggregation;
 use bfly_core::spec::count_via_spgemm;
-use bfly_core::{count, count_parallel, Invariant};
+use bfly_core::{count, count_parallel, count_priority, Invariant};
 use bfly_graph::GraphStats;
 
 fn main() {
@@ -132,7 +132,7 @@ fn main() {
     for ((d, g), &xi) in datasets.iter().zip(&counts) {
         let (t0, c0) = best_of(2, || count(g, Invariant::Inv2));
         let (t1, c1) = best_of(2, || count_hash_aggregation(g));
-        let (t2, c2) = best_of(2, || count_vertex_priority(g));
+        let (t2, c2) = best_of(2, || count_priority(g));
         let (t3, c3) = best_of(2, || count_via_spgemm(g));
         assert!(c0 == xi && c1 == xi && c2 == xi && c3 == xi);
         println!(

@@ -34,14 +34,13 @@ use bfly_core::adaptive::{
     count_adaptive_budgeted_recorded, count_adaptive_parallel_recorded, count_adaptive_recorded,
     profile_and_peel_plan_recorded, select_plan, GraphProfile, PeelPlan,
 };
-use bfly_core::baseline::{count_hash_aggregation, count_vertex_priority};
+use bfly_core::baseline::count_hash_aggregation;
 use bfly_core::family::{
     count_priority_parallel_recorded, count_priority_recorded, count_ranked_parallel_recorded,
     count_ranked_recorded,
 };
 use bfly_core::peel::{
-    k_tip_recorded, k_wing_recorded, tip_numbers, tip_numbers_shared, tip_numbers_with_chunks,
-    wing_numbers_shared, wing_numbers_with_chunks,
+    k_tip_recorded, k_wing_recorded, tip_numbers, tip_numbers_with_chunks, wing_numbers_with_chunks,
 };
 use bfly_core::telemetry::{
     diff_reports_full, install_panic_hook, timed_phase, to_openmetrics, FlightRecorder, History,
@@ -49,8 +48,7 @@ use bfly_core::telemetry::{
     RunReport, SharedSink, StreamRecorder, WorkForecast, DEFAULT_FLIGHT_CAPACITY,
 };
 use bfly_core::{
-    count_auto_recorded, count_by_enumeration, count_parallel_recorded, count_parallel_shared,
-    count_priority_shared, count_ranked_shared, count_recorded,
+    count_auto_recorded, count_by_enumeration, count_parallel_recorded, count_recorded,
     count_segmented_checkpointed_recorded, count_sharded_recorded, count_via_spgemm,
     enumerate_butterflies, BflyError, CheckpointConfig, Invariant, ResourceBudget,
 };
@@ -1246,7 +1244,7 @@ impl Telem {
             None => None,
         };
         let sink = base.map(|s| {
-            let shared = s.into_shared();
+            let shared = s.into_shared_sink();
             match &flight {
                 Some((ring, _)) => shared.with_flight(Arc::clone(ring)),
                 None => shared,
@@ -1662,12 +1660,7 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
             // run executes.
             let planned = if explain || algorithm == Algorithm::Adaptive || live {
                 let profile = GraphProfile::compute(&g);
-                let workers = if threads > 0 {
-                    threads
-                } else {
-                    rayon::current_num_threads()
-                };
-                let plan = select_plan(&profile, parallel, workers);
+                let plan = select_plan(&profile, parallel, plan_workers(threads));
                 Some((profile, plan))
             } else {
                 None
@@ -1685,32 +1678,9 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
                 telem.set_forecast(plan.forecast());
             }
             fault_injection();
-            let pool = if threads > 0 {
-                Some(
-                    rayon::ThreadPoolBuilder::new()
-                        .num_threads(threads)
-                        .build()
-                        .map_err(|e| err(format!("thread pool: {e}")))?,
-                )
-            } else {
-                None
-            };
-            let (xi, label) = if let Some(hub) = telem.live_hub() {
-                // Liveness mode records straight into the shared hub so
-                // the monitor sees counters advance *during* the run;
-                // parallel family counts take the shared-hub entry point
-                // (worker threads publish live instead of merging
-                // thread-local tallies at the end).
-                match &pool {
-                    Some(p) => p.install(|| run_count_live(&g, algorithm, parallel, &hub)),
-                    None => run_count_live(&g, algorithm, parallel, &hub),
-                }
-            } else {
-                with_recorder!(telem, |rec| match &pool {
-                    Some(p) => p.install(|| run_count(&g, algorithm, parallel, rec)),
-                    None => run_count(&g, algorithm, parallel, rec),
-                })
-            };
+            let (xi, label) = with_recorder!(telem, |rec| {
+                on_pool(threads, || run_count(&g, algorithm, parallel, rec))
+            })?;
             w(out, format!("butterflies = {xi}  [{label}]"))?;
             let mut meta = vec![
                 ("command".to_string(), Json::Str("count".to_string())),
@@ -1759,50 +1729,20 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
             )?;
             fault_injection();
             if decompose {
-                let workers = if threads > 0 {
-                    threads
-                } else {
-                    rayon::current_num_threads()
-                };
-                let pool = if threads > 0 {
-                    Some(
-                        rayon::ThreadPoolBuilder::new()
-                            .num_threads(threads)
-                            .build()
-                            .map_err(|e| err(format!("thread pool: {e}")))?,
-                    )
-                } else {
-                    None
-                };
-                let (plan, side, numbers) = if let Some(hub) = telem.live_hub() {
-                    // Liveness mode: workers record support updates into
-                    // the shared hub as they peel, so the monitor sees
-                    // progress between buckets.
-                    let hub_ref: &MetricsHub = &hub;
-                    let mut rec = hub_ref;
-                    let (_profile, plan) = profile_and_peel_plan_recorded(&g, workers, &mut rec);
-                    telem.set_forecast(plan.forecast());
-                    let side = side.unwrap_or(plan.side);
-                    let numbers = timed_phase(&mut rec, "tip_decompose", |_| match &pool {
-                        Some(p) => p.install(|| tip_numbers_shared(&g, side, plan.chunks, hub_ref)),
-                        None => tip_numbers_shared(&g, side, plan.chunks, hub_ref),
-                    });
-                    (plan, side, numbers)
-                } else {
-                    with_recorder!(telem, |rec| {
-                        let (_profile, plan) = profile_and_peel_plan_recorded(&g, workers, rec);
-                        // The plan picks the cheaper side; an explicit --side
-                        // overrides it but keeps the parallel/chunks decision.
-                        let side = side.unwrap_or(plan.side);
-                        let numbers = timed_phase(rec, "tip_decompose", |rec| match &pool {
-                            Some(p) => {
-                                p.install(|| tip_numbers_with_chunks(&g, side, plan.chunks, rec))
-                            }
-                            None => tip_numbers_with_chunks(&g, side, plan.chunks, rec),
-                        });
-                        (plan, side, numbers)
+                let (_profile, plan) = with_recorder!(telem, |rec| {
+                    profile_and_peel_plan_recorded(&g, plan_workers(threads), rec)
+                });
+                telem.set_forecast(plan.forecast());
+                // The plan picks the cheaper side; an explicit --side
+                // overrides it but keeps the parallel/chunks decision.
+                let side = side.unwrap_or(plan.side);
+                let numbers = with_recorder!(telem, |rec| {
+                    timed_phase(rec, "tip_decompose", |rec| {
+                        on_pool(threads, || {
+                            tip_numbers_with_chunks(&g, side, plan.chunks, rec)
+                        })
                     })
-                };
+                })?;
                 return emit_decomposition(
                     telem,
                     out,
@@ -1870,41 +1810,15 @@ pub fn run(cmd: Command, out: &mut impl std::io::Write) -> Result<(), CliError> 
             )?;
             fault_injection();
             if decompose {
-                let workers = if threads > 0 {
-                    threads
-                } else {
-                    rayon::current_num_threads()
-                };
-                let pool = if threads > 0 {
-                    Some(
-                        rayon::ThreadPoolBuilder::new()
-                            .num_threads(threads)
-                            .build()
-                            .map_err(|e| err(format!("thread pool: {e}")))?,
-                    )
-                } else {
-                    None
-                };
-                let (plan, numbers) = if let Some(hub) = telem.live_hub() {
-                    let hub_ref: &MetricsHub = &hub;
-                    let mut rec = hub_ref;
-                    let (_profile, plan) = profile_and_peel_plan_recorded(&g, workers, &mut rec);
-                    telem.set_forecast(plan.forecast());
-                    let numbers = timed_phase(&mut rec, "wing_decompose", |_| match &pool {
-                        Some(p) => p.install(|| wing_numbers_shared(&g, plan.chunks, hub_ref)),
-                        None => wing_numbers_shared(&g, plan.chunks, hub_ref),
-                    });
-                    (plan, numbers)
-                } else {
-                    with_recorder!(telem, |rec| {
-                        let (_profile, plan) = profile_and_peel_plan_recorded(&g, workers, rec);
-                        let numbers = timed_phase(rec, "wing_decompose", |rec| match &pool {
-                            Some(p) => p.install(|| wing_numbers_with_chunks(&g, plan.chunks, rec)),
-                            None => wing_numbers_with_chunks(&g, plan.chunks, rec),
-                        });
-                        (plan, numbers)
+                let (_profile, plan) = with_recorder!(telem, |rec| {
+                    profile_and_peel_plan_recorded(&g, plan_workers(threads), rec)
+                });
+                telem.set_forecast(plan.forecast());
+                let numbers = with_recorder!(telem, |rec| {
+                    timed_phase(rec, "wing_decompose", |rec| {
+                        on_pool(threads, || wing_numbers_with_chunks(&g, plan.chunks, rec))
                     })
-                };
+                })?;
                 return emit_decomposition(
                     telem, out, "wing", &file, &numbers, threads, plan, None,
                 );
@@ -2210,10 +2124,6 @@ fn pick_auto(g: &BipartiteGraph) -> Invariant {
     }
 }
 
-/// Dispatch one counting run, reporting work through `rec`. With
-/// [`bfly_core::telemetry::NoopRecorder`] this monomorphizes to the
-/// uninstrumented loops; the baselines without recorded variants still get
-/// a phase timer.
 /// Human label for the engine a plan runs: the invariant for fixed
 /// members, the kernel name for the global-order members.
 fn plan_engine(plan: &bfly_core::Plan) -> String {
@@ -2224,6 +2134,33 @@ fn plan_engine(plan: &bfly_core::Plan) -> String {
     }
 }
 
+/// The worker count a `--threads` value plans for: the pinned count, or
+/// the default pool's width when unpinned (0).
+fn plan_workers(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        rayon::current_num_threads()
+    }
+}
+
+/// Run `f` on a pool pinned to `threads` workers, or on the default pool
+/// when `threads` is 0.
+fn on_pool<T>(threads: usize, f: impl FnOnce() -> T) -> Result<T, CliError> {
+    if threads == 0 {
+        return Ok(f());
+    }
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .map_err(|e| err(format!("thread pool: {e}")))?;
+    Ok(pool.install(f))
+}
+
+/// Dispatch one counting run, reporting work through `rec`. With
+/// [`bfly_core::telemetry::NoopRecorder`] this monomorphizes to the
+/// uninstrumented loops; the baselines without recorded variants still get
+/// a phase timer.
 fn run_count<R: Recorder>(
     g: &BipartiteGraph,
     algorithm: Algorithm,
@@ -2268,9 +2205,10 @@ fn run_count<R: Recorder>(
         Algorithm::Hash => timed_phase(rec, "count_hash", |_| {
             (count_hash_aggregation(g), "hash".to_string())
         }),
-        Algorithm::VertexPriority => timed_phase(rec, "count_vertex_priority", |_| {
-            (count_vertex_priority(g), "vertex-priority".to_string())
-        }),
+        Algorithm::VertexPriority => (
+            count_priority_recorded(g, rec),
+            "vertex-priority".to_string(),
+        ),
         Algorithm::Priority => {
             if parallel {
                 let chunks = rayon::current_num_threads().max(1);
@@ -2299,44 +2237,6 @@ fn run_count<R: Recorder>(
     }
 }
 
-/// [`run_count`] for liveness mode: everything records through the
-/// shared hub, and the parallel family members route through
-/// [`count_parallel_shared`] so worker threads publish counters live
-/// (the recorded variants merge thread-local tallies only at the end,
-/// which would leave the monitor blind until the join).
-fn run_count_live(
-    g: &BipartiteGraph,
-    algorithm: Algorithm,
-    parallel: bool,
-    hub: &MetricsHub,
-) -> (u64, String) {
-    match algorithm {
-        Algorithm::Auto if parallel => {
-            let inv = pick_auto(g);
-            (
-                count_parallel_shared(g, inv, hub),
-                format!("{inv} (auto, parallel)"),
-            )
-        }
-        Algorithm::Family(inv) if parallel => (
-            count_parallel_shared(g, inv, hub),
-            format!("{inv} (parallel)"),
-        ),
-        Algorithm::Priority if parallel => (
-            count_priority_shared(g, rayon::current_num_threads().max(1), hub),
-            "priority (parallel)".to_string(),
-        ),
-        Algorithm::Ranked if parallel => (
-            count_ranked_shared(g, rayon::current_num_threads().max(1), hub),
-            "ranked (parallel)".to_string(),
-        ),
-        other => {
-            let mut rec: &MetricsHub = hub;
-            run_count(g, other, parallel, &mut rec)
-        }
-    }
-}
-
 /// The budget-capped counting path: always adaptive, threaded through
 /// [`count_adaptive_budgeted_recorded`] so byte caps degrade the plan,
 /// work caps refuse it ([`ErrorClass::Budget`], exit 4), overflow maps
@@ -2360,24 +2260,15 @@ fn run_count_budgeted(
     // may still degrade to a cheaper plan, in which case the fraction is
     // an under-estimate and the final heartbeat snaps to 1.0.
     if telem.live.is_some() {
-        let workers = if threads > 0 {
-            threads
-        } else {
-            rayon::current_num_threads()
-        };
         let profile = GraphProfile::compute(g);
-        telem.set_forecast(select_plan(&profile, parallel, workers).forecast());
+        telem.set_forecast(select_plan(&profile, parallel, plan_workers(threads)).forecast());
     }
     fault_injection();
-    let result = with_recorder!(telem, |rec| if threads > 0 {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .map_err(|e| err(format!("thread pool: {e}")))?;
-        pool.install(|| count_adaptive_budgeted_recorded(g, parallel, budget, rec))
-    } else {
-        count_adaptive_budgeted_recorded(g, parallel, budget, rec)
-    });
+    let result = with_recorder!(telem, |rec| {
+        on_pool(threads, || {
+            count_adaptive_budgeted_recorded(g, parallel, budget, rec)
+        })
+    })?;
     let r = match result {
         Ok(r) => r,
         Err(e) => {

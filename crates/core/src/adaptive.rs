@@ -1063,9 +1063,9 @@ pub fn execute_plan_checked_recorded<R: Recorder>(
         } else {
             "count"
         };
-        let (acc, complete) = bfly_telemetry::timed_phase(rec, phase, |_| match plan.member {
-            Member::Priority => count_priority_checked_deadline(g, chunks, deadline),
-            Member::Ranked => count_ranked_checked_deadline(g, chunks, deadline),
+        let (acc, complete) = bfly_telemetry::timed_phase(rec, phase, |rec| match plan.member {
+            Member::Priority => count_priority_checked_deadline(g, chunks, deadline, rec),
+            Member::Ranked => count_ranked_checked_deadline(g, chunks, deadline, rec),
             Member::Fixed(_) => unreachable!(),
         })?;
         let value = acc.finish().map_err(|partial| BflyError::CountOverflow {
@@ -1094,7 +1094,7 @@ pub fn execute_plan_checked_recorded<R: Recorder>(
     };
     let (acc, complete) = match plan.mode {
         ExecMode::Parallel { chunks } => {
-            bfly_telemetry::timed_phase(rec, "count_parallel", |_| {
+            bfly_telemetry::timed_phase(rec, "count_parallel", |rec| {
                 crate::family::count_partitioned_parallel_checked_deadline(
                     part_adj,
                     other_adj,
@@ -1102,6 +1102,7 @@ pub fn execute_plan_checked_recorded<R: Recorder>(
                     plan.invariant.update_part(),
                     chunks,
                     deadline,
+                    rec,
                 )
             })?
         }

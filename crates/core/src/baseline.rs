@@ -4,22 +4,19 @@
 //!   counting" shape: aggregate wedges per endpoint pair in a hash map
 //!   instead of a dense accumulator. Same asymptotics as the family,
 //!   different constant factors (the SPA-vs-hash ablation).
-//! * [`count_vertex_priority`] — the degree-ordered counter in the style
-//!   of Wang et al. (VLDB'19) / Shi & Shun's ParButterfly: wedges are only
-//!   expanded from each butterfly's *minimum-priority* vertex, where
-//!   priority is a total order by non-increasing degree over both sides.
-//!   Every butterfly is charged exactly once, and high-degree hubs are
-//!   never wedge-expanded from below — the optimisation the paper's §VI
-//!   names as future work.
+//! * degree-ordered vertex-priority counting in the style of Wang et al.
+//!   (VLDB'19) lives in the family as
+//!   [`count_priority`](crate::family::count_priority): wedges are only
+//!   expanded from each butterfly's *minimum-priority* vertex, the
+//!   optimisation the paper's §VI names as future work.
 //! * [`approx_count_vertex_sampling`] / [`approx_count_edge_sampling`] —
 //!   unbiased estimators in the style of Sanei-Mehri et al. (KDD'18),
 //!   using exact local counts on sampled vertices/edges.
 
 use crate::edge_support::edge_supports;
 use crate::vertex_counts::butterflies_per_vertex;
-use bfly_graph::ordering::global_degree_ranks;
 use bfly_graph::{BipartiteGraph, Side};
-use bfly_sparse::{choose2, Spa};
+use bfly_sparse::choose2;
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -50,59 +47,6 @@ pub fn count_hash_aggregation(g: &BipartiteGraph) -> u64 {
         for &cnt in counts.values() {
             total += choose2(cnt);
         }
-    }
-    total
-}
-
-/// Exact count with degree-based vertex priorities.
-///
-/// Rank every vertex of `V1 ∪ V2` by non-increasing degree. For each start
-/// vertex `u`, expand only wedges `u – j – w` whose middle and far vertices
-/// both out-rank `u` (`rank(j) > rank(u)`, `rank(w) > rank(u)`); then add
-/// `Σ_w C(cnt[w], 2)`. A butterfly `{u, w} × {j, j'}` is counted exactly
-/// once: from its minimum-rank vertex, and only there.
-pub fn count_vertex_priority(g: &BipartiteGraph) -> u64 {
-    let (rank_v1, rank_v2) = global_degree_ranks(g);
-    let a = g.biadjacency();
-    let at = g.biadjacency_t();
-    let mut total = 0u64;
-    let mut spa = Spa::<u64>::new(g.nv1().max(g.nv2()));
-
-    // Starts in V1: wedge points in V2, far endpoints in V1.
-    for u in 0..g.nv1() {
-        let ru = rank_v1[u];
-        for &j in a.row(u) {
-            if rank_v2[j as usize] <= ru {
-                continue;
-            }
-            for &w in at.row(j as usize) {
-                if w as usize != u && rank_v1[w as usize] > ru {
-                    spa.scatter(w, 1);
-                }
-            }
-        }
-        for (_, cnt) in spa.entries() {
-            total += choose2(cnt);
-        }
-        spa.clear();
-    }
-    // Starts in V2: wedge points in V1, far endpoints in V2.
-    for v in 0..g.nv2() {
-        let rv = rank_v2[v];
-        for &j in at.row(v) {
-            if rank_v1[j as usize] <= rv {
-                continue;
-            }
-            for &w in a.row(j as usize) {
-                if w as usize != v && rank_v2[w as usize] > rv {
-                    spa.scatter(w, 1);
-                }
-            }
-        }
-        for (_, cnt) in spa.entries() {
-            total += choose2(cnt);
-        }
-        spa.clear();
     }
     total
 }
@@ -210,10 +154,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(32);
         for _ in 0..5 {
             let g = chung_lu(50, 40, 250, 0.7, 0.7, &mut rng);
-            assert_eq!(count_vertex_priority(&g), count_via_spgemm(&g));
+            assert_eq!(crate::family::count_priority(&g), count_via_spgemm(&g));
         }
-        assert_eq!(count_vertex_priority(&BipartiteGraph::complete(4, 4)), 36);
-        assert_eq!(count_vertex_priority(&BipartiteGraph::empty(5, 5)), 0);
+        assert_eq!(
+            crate::family::count_priority(&BipartiteGraph::complete(4, 4)),
+            36
+        );
+        assert_eq!(
+            crate::family::count_priority(&BipartiteGraph::empty(5, 5)),
+            0
+        );
     }
 
     #[test]
@@ -221,7 +171,7 @@ mod tests {
         // Degree-regular graphs maximise rank ties; the tie-broken total
         // order must still charge each butterfly exactly once.
         let g = BipartiteGraph::complete(5, 5);
-        assert_eq!(count_vertex_priority(&g), 100); // C(5,2)²
+        assert_eq!(crate::family::count_priority(&g), 100); // C(5,2)²
     }
 
     #[test]

@@ -42,35 +42,60 @@ pub enum PartFilter {
     After,
 }
 
-/// Per-vertex update of eq. 18: butterflies whose wedge-point pair is
-/// `{k, c}` with `c` restricted to one side of `k`. `part_adj.row(k)` must
-/// list the opposite-side neighbours of `k`; `other_adj.row(j)` the
-/// partitioned-side neighbours of `j`.
-#[inline]
-pub(crate) fn update_for_vertex(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    filter: PartFilter,
-    k: usize,
-    spa: &mut Spa<u64>,
-) -> u64 {
-    update_for_vertex_recorded(part_adj, other_adj, filter, k, spa, &mut NoopRecorder)
+/// Where a kernel's eq. 18 terms `C(cnt, 2)` go. Every per-vertex and
+/// per-start kernel body is generic over this, so the plain `u64 +=` of
+/// the infallible counters and the overflow-promoting [`CheckedAccum`]
+/// of the checked ones monomorphize separately from one body.
+pub(crate) trait Accum: Default + Send {
+    /// Add one term.
+    fn add(&mut self, v: u64);
+    /// Fold in another partial sum (a chunk's, in chunk order).
+    fn merge(&mut self, other: Self);
 }
 
-/// [`update_for_vertex`] with instrumentation: wedges expanded, SPA
-/// scatters, accumulator entries drained, and the exposed vertex itself.
-/// Every recording site is guarded by `R::ENABLED`, a constant after
-/// monomorphization, so the [`NoopRecorder`] instantiation is exactly the
-/// uninstrumented loop.
+impl Accum for u64 {
+    #[inline]
+    fn add(&mut self, v: u64) {
+        *self += v;
+    }
+
+    #[inline]
+    fn merge(&mut self, other: u64) {
+        *self += other;
+    }
+}
+
+impl Accum for CheckedAccum {
+    #[inline]
+    fn add(&mut self, v: u64) {
+        CheckedAccum::add(self, v);
+    }
+
+    #[inline]
+    fn merge(&mut self, other: CheckedAccum) {
+        CheckedAccum::merge(self, other);
+    }
+}
+
+/// Per-vertex update of eq. 18: butterflies whose wedge-point pair is
+/// `{k, c}` with `c` restricted to one side of `k`, added to `acc`.
+/// `part_adj.row(k)` must list the opposite-side neighbours of `k`;
+/// `other_adj.row(j)` the partitioned-side neighbours of `j`.
+///
+/// Records wedges expanded, SPA scatters, accumulator entries drained,
+/// and the exposed vertex itself. Every recording site is guarded by
+/// `R::ENABLED`, a constant after monomorphization, so the
+/// [`NoopRecorder`] instantiation is exactly the uninstrumented loop.
 #[inline]
-pub(crate) fn update_for_vertex_recorded<R: Recorder>(
+pub(crate) fn update_for_vertex<R: Recorder, A: Accum>(
     part_adj: &Pattern,
     other_adj: &Pattern,
     filter: PartFilter,
     k: usize,
     spa: &mut Spa<u64>,
+    acc: &mut A,
     rec: &mut R,
-) -> u64 {
+) {
     let k32 = k as u32;
     let mut wedges = 0u64;
     for &j in part_adj.row(k) {
@@ -101,60 +126,48 @@ pub(crate) fn update_for_vertex_recorded<R: Recorder>(
         rec.incr(Counter::AccumEntries, spa.touched_len() as u64);
         rec.hist_record("vertex_wedges", wedges);
     }
-    let mut acc = 0u64;
-    for (_, cnt) in spa.entries() {
-        acc += choose2(cnt);
-    }
-    spa.clear();
-    acc
+    drain_pairs(spa, acc);
 }
 
-/// Overflow-checked [`update_for_vertex_recorded`]: identical wedge
-/// expansion, but the eq. 18 update `Σ_c C(cnt[c], 2)` accumulates into
-/// `acc` with [`CheckedAccum`] semantics — a sum that would wrap `u64`
-/// promotes to `u128` instead of silently truncating in release builds.
+/// Add `Σ C(cnt, 2)` over the SPA's entries to `acc` and clear the SPA:
+/// the drain every kernel body ends with. The terms are summed into a
+/// local first; a running total behind `&mut` would be loaded and stored
+/// again for every entry, since the loop's bounds-check panic edge keeps
+/// the compiler from holding it in a register.
 #[inline]
-pub(crate) fn update_for_vertex_checked_recorded<R: Recorder>(
+pub(crate) fn drain_pairs<A: Accum>(spa: &mut Spa<u64>, acc: &mut A) {
+    let mut sum = A::default();
+    for (_, cnt) in spa.entries() {
+        sum.add(choose2(cnt));
+    }
+    spa.clear();
+    acc.merge(sum);
+}
+
+/// Run [`update_for_vertex`] over the exposed vertices `ks` in order,
+/// polling `deadline` every [`DEADLINE_STRIDE`] vertices (never inside a
+/// wedge expansion). Returns `false` if the deadline cut the run short;
+/// `acc` then holds the exact sum over the vertices processed before it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn update_vertices<R: Recorder, A: Accum>(
     part_adj: &Pattern,
     other_adj: &Pattern,
     filter: PartFilter,
-    k: usize,
+    ks: impl Iterator<Item = usize>,
     spa: &mut Spa<u64>,
-    acc: &mut CheckedAccum,
+    acc: &mut A,
+    deadline: Option<Instant>,
     rec: &mut R,
-) {
-    let k32 = k as u32;
-    let mut wedges = 0u64;
-    for &j in part_adj.row(k) {
-        let row = other_adj.row(j as usize);
-        let slice = match filter {
-            PartFilter::Before => {
-                let cut = row.partition_point(|&c| c < k32);
-                &row[..cut]
+) -> bool {
+    for (done, k) in ks.enumerate() {
+        if let Some(d) = deadline {
+            if done % DEADLINE_STRIDE == DEADLINE_STRIDE - 1 && Instant::now() >= d {
+                return false;
             }
-            PartFilter::After => {
-                let cut = row.partition_point(|&c| c <= k32);
-                &row[cut..]
-            }
-        };
-        if R::ENABLED {
-            wedges += slice.len() as u64;
         }
-        for &c in slice {
-            spa.scatter(c, 1);
-        }
+        update_for_vertex(part_adj, other_adj, filter, k, spa, acc, rec);
     }
-    if R::ENABLED {
-        rec.incr(Counter::VerticesExposed, 1);
-        rec.incr(Counter::WedgesExpanded, wedges);
-        rec.incr(Counter::SpaScatters, wedges);
-        rec.incr(Counter::AccumEntries, spa.touched_len() as u64);
-        rec.hist_record("vertex_wedges", wedges);
-    }
-    for (_, cnt) in spa.entries() {
-        acc.add(choose2(cnt));
-    }
-    spa.clear();
+    true
 }
 
 /// Overflow-checked, deadline-aware [`count_partitioned_recorded`].
@@ -175,31 +188,37 @@ pub fn count_partitioned_checked_recorded<R: Recorder>(
     deadline: Option<Instant>,
     rec: &mut R,
 ) -> bool {
+    count_partitioned_into(part_adj, other_adj, traversal, filter, acc, deadline, rec)
+}
+
+/// The sequential loop behind [`count_partitioned_recorded`] and
+/// [`count_partitioned_checked_recorded`]: one SPA, one `count_partitioned`
+/// span, vertices in traversal order.
+fn count_partitioned_into<R: Recorder, A: Accum>(
+    part_adj: &Pattern,
+    other_adj: &Pattern,
+    traversal: Traversal,
+    filter: PartFilter,
+    acc: &mut A,
+    deadline: Option<Instant>,
+    rec: &mut R,
+) -> bool {
     debug_assert_eq!(part_adj.nrows(), other_adj.ncols());
     debug_assert_eq!(part_adj.ncols(), other_adj.nrows());
     let nverts = part_adj.nrows();
     let mut spa = Spa::<u64>::new(nverts);
-    bfly_telemetry::timed_span(rec, "count_partitioned", |rec| {
-        let run = |ks: &mut dyn Iterator<Item = usize>,
-                   spa: &mut Spa<u64>,
-                   acc: &mut CheckedAccum,
-                   rec: &mut R|
-         -> bool {
-            for (done, k) in ks.enumerate() {
-                if done % DEADLINE_STRIDE == DEADLINE_STRIDE - 1 {
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            return false;
-                        }
-                    }
-                }
-                update_for_vertex_checked_recorded(part_adj, other_adj, filter, k, spa, acc, rec);
-            }
-            true
-        };
-        match traversal {
-            Traversal::Forward => run(&mut (0..nverts), &mut spa, acc, rec),
-            Traversal::Backward => run(&mut (0..nverts).rev(), &mut spa, acc, rec),
+    bfly_telemetry::timed_span(rec, "count_partitioned", |rec| match traversal {
+        Traversal::Forward => {
+            let ks = 0..nverts;
+            update_vertices(
+                part_adj, other_adj, filter, ks, &mut spa, acc, deadline, rec,
+            )
+        }
+        Traversal::Backward => {
+            let ks = (0..nverts).rev();
+            update_vertices(
+                part_adj, other_adj, filter, ks, &mut spa, acc, deadline, rec,
+            )
         }
     })
 }
@@ -229,28 +248,11 @@ pub fn count_partitioned_recorded<R: Recorder>(
     filter: PartFilter,
     rec: &mut R,
 ) -> u64 {
-    debug_assert_eq!(part_adj.nrows(), other_adj.ncols());
-    debug_assert_eq!(part_adj.ncols(), other_adj.nrows());
-    let nverts = part_adj.nrows();
-    let mut spa = Spa::<u64>::new(nverts);
-    bfly_telemetry::timed_span(rec, "count_partitioned", |rec| {
-        let mut total = 0u64;
-        match traversal {
-            Traversal::Forward => {
-                for k in 0..nverts {
-                    total +=
-                        update_for_vertex_recorded(part_adj, other_adj, filter, k, &mut spa, rec);
-                }
-            }
-            Traversal::Backward => {
-                for k in (0..nverts).rev() {
-                    total +=
-                        update_for_vertex_recorded(part_adj, other_adj, filter, k, &mut spa, rec);
-                }
-            }
-        }
-        total
-    })
+    let mut total = 0u64;
+    count_partitioned_into(
+        part_adj, other_adj, traversal, filter, &mut total, None, rec,
+    );
+    total
 }
 
 #[cfg(test)]
@@ -262,6 +264,12 @@ mod tests {
         BipartiteGraph::complete(2, 3)
     }
 
+    fn update(a: &Pattern, at: &Pattern, filter: PartFilter, k: usize, spa: &mut Spa<u64>) -> u64 {
+        let mut acc = 0u64;
+        update_for_vertex(a, at, filter, k, spa, &mut acc, &mut NoopRecorder);
+        acc
+    }
+
     #[test]
     fn before_and_after_partition_the_pairs() {
         // K_{2,3}: 3 butterflies (V2 wedge-point pairs: C(3,2)).
@@ -270,11 +278,11 @@ mod tests {
         let a = g.biadjacency();
         let mut spa = Spa::<u64>::new(g.nv2());
         // Vertex 1 of V2: pairs {1,0} before, {1,2} after → 1 butterfly each.
-        assert_eq!(update_for_vertex(at, a, PartFilter::Before, 1, &mut spa), 1);
-        assert_eq!(update_for_vertex(at, a, PartFilter::After, 1, &mut spa), 1);
+        assert_eq!(update(at, a, PartFilter::Before, 1, &mut spa), 1);
+        assert_eq!(update(at, a, PartFilter::After, 1, &mut spa), 1);
         // Vertex 0: nothing before, pairs {0,1},{0,2} after.
-        assert_eq!(update_for_vertex(at, a, PartFilter::Before, 0, &mut spa), 0);
-        assert_eq!(update_for_vertex(at, a, PartFilter::After, 0, &mut spa), 2);
+        assert_eq!(update(at, a, PartFilter::Before, 0, &mut spa), 0);
+        assert_eq!(update(at, a, PartFilter::After, 0, &mut spa), 2);
     }
 
     #[test]

@@ -52,22 +52,21 @@ pub use engine::{
 };
 pub use literal::count_literal;
 pub use parallel::{
-    balanced_chunk_bounds, count_parallel, count_parallel_recorded, count_parallel_shared,
-    count_parallel_with_threads, count_parallel_with_threads_recorded, count_partitioned_parallel,
+    balanced_chunk_bounds, count_parallel, count_parallel_recorded, count_parallel_with_threads,
+    count_parallel_with_threads_recorded, count_partitioned_parallel,
     count_partitioned_parallel_balanced, count_partitioned_parallel_balanced_recorded,
-    count_partitioned_parallel_recorded, count_partitioned_parallel_shared,
-    try_count_partitioned_parallel, tuned_chunk_count, tuned_chunk_count_from_latency,
-    wedge_weights, weight_p90,
+    count_partitioned_parallel_recorded, try_count_partitioned_parallel, tuned_chunk_count,
+    tuned_chunk_count_from_latency, wedge_weights, weight_p90,
 };
 pub use priority::{
     butterflies_per_vertex_priority, count_priority, count_priority_parallel,
-    count_priority_parallel_recorded, count_priority_recorded, count_priority_shared,
-    edge_supports_priority, priority_start_weights, priority_wedge_work, priority_wedge_work_with,
-    try_count_priority, try_count_priority_parallel, PriorityRanks,
+    count_priority_parallel_recorded, count_priority_recorded, edge_supports_priority,
+    priority_start_weights, priority_wedge_work, priority_wedge_work_with, try_count_priority,
+    try_count_priority_parallel, PriorityRanks,
 };
 pub use ranked::{
     count_ranked, count_ranked_parallel, count_ranked_parallel_recorded, count_ranked_recorded,
-    count_ranked_shared, try_count_ranked, try_count_ranked_parallel, RANKED_BUCKET_WEDGES,
+    try_count_ranked, try_count_ranked_parallel, RANKED_BUCKET_WEDGES,
 };
 pub use sharded::{
     count_segmented, count_segmented_budgeted_recorded, count_segmented_checkpointed_recorded,

@@ -2,22 +2,203 @@
 //!
 //! Each loop iteration of a derived algorithm touches a disjoint slice of
 //! the output (one exposed vertex's butterfly contribution), so the loop
-//! parallelises directly: rayon distributes the partitioned vertices, each
-//! worker owns a private sparse accumulator (`map_init`, so an SPA is
-//! allocated once per worker rather than once per vertex), and the
-//! contributions reduce by summation. The paper used 6 OpenMP threads;
-//! [`count_parallel_with_threads`] pins the pool size to reproduce that
-//! configuration exactly.
+//! parallelises directly: the partitioned vertices are cut into chunks,
+//! each chunk owns a private sparse accumulator (allocated once per chunk
+//! rather than once per vertex), and the per-chunk sums merge in chunk
+//! order. The paper used 6 OpenMP threads; [`count_parallel_with_threads`]
+//! pins the pool size to reproduce that configuration exactly.
+//!
+//! Every parallel counting member — the fixed invariants here, the
+//! priority and ranked kernels — runs its chunks through one runner,
+//! [`run_chunks`]. How a chunk records is the caller's recorder's choice
+//! ([`Recorder::worker`]): the buffering recorders give each chunk a
+//! private [`ThreadTrace`](bfly_telemetry::ThreadTrace) merged onto its
+//! own track after the join, a shared
+//! [`MetricsHub`](bfly_telemetry::MetricsHub) records every chunk live,
+//! and [`NoopRecorder`] records nothing and reads no clock.
 
-use super::engine::{
-    update_for_vertex, update_for_vertex_checked_recorded, update_for_vertex_recorded, PartFilter,
-    Traversal,
-};
+use super::engine::{update_vertices, Accum, PartFilter, Traversal};
 use super::Invariant;
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::{CheckedAccum, Pattern, Spa};
-use bfly_telemetry::{Counter, MetricsHub, NoopRecorder, Recorder, ThreadTrace};
+use bfly_telemetry::{Counter, NoopRecorder, Recorder, ThreadTrace, WorkTally};
 use rayon::prelude::*;
+use std::time::Instant;
+
+/// One chunk's recorder inside [`run_chunks`]: the caller's worker
+/// recorder, plus the chunk's own `wedges_expanded` total, which feeds
+/// the `par_chunk_wedges` series whatever the worker keeps.
+pub(crate) struct ChunkRecorder<W> {
+    worker: W,
+    wedges: u64,
+}
+
+impl<W: Recorder> Recorder for ChunkRecorder<W> {
+    const ENABLED: bool = W::ENABLED;
+    type Worker = W::Worker;
+
+    fn worker(&self) -> W::Worker {
+        self.worker.worker()
+    }
+
+    fn join_worker(&mut self, track: u32, worker: W::Worker) {
+        self.worker.join_worker(track, worker);
+    }
+
+    #[inline]
+    fn incr(&mut self, c: Counter, n: u64) {
+        if c == Counter::WedgesExpanded {
+            self.wedges += n;
+        }
+        self.worker.incr(c, n);
+    }
+
+    fn gauge(&mut self, name: &'static str, value: f64) {
+        self.worker.gauge(name, value);
+    }
+
+    fn series_push(&mut self, name: &'static str, value: f64) {
+        self.worker.series_push(name, value);
+    }
+
+    fn phase_start(&mut self, name: &'static str) {
+        self.worker.phase_start(name);
+    }
+
+    fn phase_end(&mut self, name: &'static str) {
+        self.worker.phase_end(name);
+    }
+
+    fn span_enter(&mut self, name: &'static str) {
+        self.worker.span_enter(name);
+    }
+
+    fn span_exit(&mut self, name: &'static str) {
+        self.worker.span_exit(name);
+    }
+
+    #[inline]
+    fn hist_record(&mut self, name: &'static str, value: u64) {
+        self.worker.hist_record(name, value);
+    }
+
+    fn merge(&mut self, tally: &WorkTally) {
+        self.wedges += tally.get(Counter::WedgesExpanded);
+        self.worker.merge(tally);
+    }
+
+    fn merge_thread(&mut self, thread: u32, trace: ThreadTrace) {
+        self.wedges += trace.tally().get(Counter::WedgesExpanded);
+        self.worker.merge_thread(thread, trace);
+    }
+}
+
+/// The one chunk runner behind every parallel counting member: runs
+/// `body` on each chunk over rayon's current pool and returns the
+/// results in chunk order. Each chunk records into its own worker
+/// recorder from [`Recorder::worker`], handed back through
+/// [`Recorder::join_worker`] on track `i + 1` after the join (track 0 is
+/// the caller's own stream). An enabled recorder also gets a `chunk`
+/// span and a `chunk_us` latency sample per chunk, the `par_chunks`
+/// counter, the per-chunk `par_chunk_wedges` series, and the
+/// `par_imbalance` gauge (max over mean chunk wedges; 1.0 = perfectly
+/// balanced). With [`NoopRecorder`] none of that exists, not even a
+/// clock read.
+pub(crate) fn run_chunks<R, C, T, F>(chunks: Vec<C>, rec: &mut R, body: F) -> Vec<T>
+where
+    R: Recorder,
+    C: Send,
+    T: Send,
+    F: Fn(C, &mut ChunkRecorder<R::Worker>) -> T + Sync,
+{
+    let jobs: Vec<(C, ChunkRecorder<R::Worker>)> = chunks
+        .into_iter()
+        .map(|c| {
+            let worker = rec.worker();
+            (c, ChunkRecorder { worker, wedges: 0 })
+        })
+        .collect();
+    let done: Vec<(T, ChunkRecorder<R::Worker>)> = jobs
+        .into_par_iter()
+        .map(|(chunk, mut w)| {
+            if !R::ENABLED {
+                return (body(chunk, &mut w), w);
+            }
+            let t0 = Instant::now();
+            w.span_enter("chunk");
+            let out = body(chunk, &mut w);
+            w.span_exit("chunk");
+            w.hist_record("chunk_us", t0.elapsed().as_micros() as u64);
+            (out, w)
+        })
+        .collect();
+    let nchunks = done.len();
+    rec.incr(Counter::ParChunks, nchunks as u64);
+    let mut max_wedges = 0u64;
+    let mut sum_wedges = 0u64;
+    let mut out = Vec::with_capacity(nchunks);
+    for (i, (result, w)) in done.into_iter().enumerate() {
+        if R::ENABLED {
+            rec.series_push("par_chunk_wedges", w.wedges as f64);
+            max_wedges = max_wedges.max(w.wedges);
+            sum_wedges += w.wedges;
+        }
+        rec.join_worker(i as u32 + 1, w.worker);
+        out.push(result);
+    }
+    if nchunks > 0 && sum_wedges > 0 {
+        let mean = sum_wedges as f64 / nchunks as f64;
+        rec.gauge("par_imbalance", max_wedges as f64 / mean);
+    }
+    out
+}
+
+/// Fold per-chunk partials in chunk order; complete iff every chunk ran
+/// to completion.
+pub(crate) fn merge_chunks<A: Accum>(parts: Vec<(A, bool)>) -> (A, bool) {
+    let mut total = A::default();
+    let mut complete = true;
+    for (part, done) in parts {
+        total.merge(part);
+        complete &= done;
+    }
+    (total, complete)
+}
+
+/// The partitioned vertices in traversal order. Work distribution makes
+/// the order immaterial for the total, but cutting chunks from it keeps
+/// per-invariant scheduling comparable to the sequential versions.
+fn traversal_order(nverts: usize, traversal: Traversal) -> Vec<usize> {
+    match traversal {
+        Traversal::Forward => (0..nverts).collect(),
+        Traversal::Backward => (0..nverts).rev().collect(),
+    }
+}
+
+/// Count chunks of partitioned vertices through [`run_chunks`]: each
+/// chunk runs the engine's vertex loop on a private SPA and
+/// accumulator, polling `deadline` every
+/// [`DEADLINE_STRIDE`](super::engine::DEADLINE_STRIDE) of its own
+/// vertices.
+fn count_vertex_chunks<R: Recorder, A: Accum>(
+    part_adj: &Pattern,
+    other_adj: &Pattern,
+    filter: PartFilter,
+    chunks: Vec<&[usize]>,
+    deadline: Option<Instant>,
+    rec: &mut R,
+) -> (A, bool) {
+    let nverts = part_adj.nrows();
+    merge_chunks(run_chunks(chunks, rec, |chunk, w| {
+        let mut spa = Spa::<u64>::new(nverts);
+        let mut acc = A::default();
+        let ks = chunk.iter().copied();
+        let complete = update_vertices(
+            part_adj, other_adj, filter, ks, &mut spa, &mut acc, deadline, w,
+        );
+        (acc, complete)
+    }))
+}
 
 /// Parallel counterpart of [`crate::family::count_partitioned`].
 pub fn count_partitioned_parallel(
@@ -26,34 +207,14 @@ pub fn count_partitioned_parallel(
     traversal: Traversal,
     filter: PartFilter,
 ) -> u64 {
-    let nverts = part_adj.nrows();
-    let order: Vec<usize> = match traversal {
-        // Work distribution makes traversal order immaterial for the total,
-        // but preserving it keeps per-invariant scheduling comparable to
-        // the sequential versions (chunks are handed out in this order).
-        Traversal::Forward => (0..nverts).collect(),
-        Traversal::Backward => (0..nverts).rev().collect(),
-    };
-    order
-        .into_par_iter()
-        .map_init(
-            || Spa::<u64>::new(nverts),
-            |spa, k| update_for_vertex(part_adj, other_adj, filter, k, spa),
-        )
-        .sum()
+    count_partitioned_parallel_recorded(part_adj, other_adj, traversal, filter, &mut NoopRecorder)
 }
 
-/// Instrumented [`count_partitioned_parallel`]. When the recorder is
-/// disabled this is exactly the uninstrumented dynamic-scheduling path;
-/// when enabled, the partitioned vertices are processed as one explicit
-/// chunk per worker, each worker recording its own event stream into a
-/// private [`ThreadTrace`] — a `chunk` span (with counter deltas) per
-/// worker plus the shared `vertex_wedges` histogram from the engine —
-/// merged after the join onto per-worker tracks, so chunk imbalance is
-/// visible span-by-span, not just as a gauge. Per-chunk wedge work is
-/// additionally recorded as the `par_chunk_wedges` series, per-chunk
-/// latency as the `chunk_us` histogram, and the `par_imbalance` gauge
-/// summarises (max over mean chunk wedges; 1.0 = perfectly balanced).
+/// Instrumented [`count_partitioned_parallel`]: the partitioned vertices
+/// are processed as one equal-length chunk per worker through
+/// [`run_chunks`], so chunk imbalance is visible span-by-span (each
+/// chunk's `chunk` span carries its counter deltas and the engine's
+/// `vertex_wedges` histogram), not just as the `par_imbalance` gauge.
 pub fn count_partitioned_parallel_recorded<R: Recorder>(
     part_adj: &Pattern,
     other_adj: &Pattern,
@@ -61,120 +222,11 @@ pub fn count_partitioned_parallel_recorded<R: Recorder>(
     filter: PartFilter,
     rec: &mut R,
 ) -> u64 {
-    if !R::ENABLED {
-        return count_partitioned_parallel(part_adj, other_adj, traversal, filter);
-    }
-    let nverts = part_adj.nrows();
-    let order: Vec<usize> = match traversal {
-        Traversal::Forward => (0..nverts).collect(),
-        Traversal::Backward => (0..nverts).rev().collect(),
-    };
+    let order = traversal_order(part_adj.nrows(), traversal);
     let nthreads = rayon::current_num_threads().max(1);
     let chunk_len = order.len().div_ceil(nthreads).max(1);
-    let chunks: Vec<Vec<usize>> = order.chunks(chunk_len).map(|c| c.to_vec()).collect();
-    let per_chunk: Vec<(u64, ThreadTrace)> = chunks
-        .into_par_iter()
-        .map(|chunk| {
-            let mut spa = Spa::<u64>::new(nverts);
-            let mut trace = ThreadTrace::new();
-            let t0 = std::time::Instant::now();
-            trace.span_enter("chunk");
-            let mut sum = 0u64;
-            for k in chunk {
-                sum += update_for_vertex_recorded(
-                    part_adj, other_adj, filter, k, &mut spa, &mut trace,
-                );
-            }
-            trace.span_exit("chunk");
-            trace.hist_record("chunk_us", t0.elapsed().as_micros() as u64);
-            (sum, trace)
-        })
-        .collect();
-    rec.incr(Counter::ParChunks, per_chunk.len() as u64);
-    let nchunks = per_chunk.len();
-    let mut total = 0u64;
-    let mut max_wedges = 0u64;
-    let mut sum_wedges = 0u64;
-    for (i, (sub, trace)) in per_chunk.into_iter().enumerate() {
-        total += sub;
-        let w = trace.tally().get(Counter::WedgesExpanded);
-        rec.series_push("par_chunk_wedges", w as f64);
-        max_wedges = max_wedges.max(w);
-        sum_wedges += w;
-        // Track 0 is the caller's own span stream; workers start at 1.
-        rec.merge_thread(i as u32 + 1, trace);
-    }
-    if nchunks > 0 && sum_wedges > 0 {
-        let mean = sum_wedges as f64 / nchunks as f64;
-        rec.gauge("par_imbalance", max_wedges as f64 / mean);
-    }
-    total
-}
-
-/// Shared-hub variant of [`count_partitioned_parallel_recorded`]: every
-/// rayon worker records straight into the concurrent [`MetricsHub`] as it
-/// goes instead of buffering a private [`ThreadTrace`] merged after the
-/// join. A mid-run observer (OpenMetrics scrape, NDJSON stream, another
-/// thread calling [`MetricsHub::snapshot`]) therefore sees counters and
-/// histograms advance while chunks are still in flight. Totals are
-/// bitwise-identical to the buffered path; per-chunk attribution
-/// (`par_chunk_wedges`, `par_imbalance`) is the buffered path's job —
-/// this one trades it for liveness, emitting per-worker `chunk` span
-/// aggregates and the `chunk_us` histogram.
-pub fn count_partitioned_parallel_shared(
-    part_adj: &Pattern,
-    other_adj: &Pattern,
-    traversal: Traversal,
-    filter: PartFilter,
-    hub: &MetricsHub,
-) -> u64 {
-    let nverts = part_adj.nrows();
-    let order: Vec<usize> = match traversal {
-        Traversal::Forward => (0..nverts).collect(),
-        Traversal::Backward => (0..nverts).rev().collect(),
-    };
-    let nthreads = rayon::current_num_threads().max(1);
-    let chunk_len = order.len().div_ceil(nthreads).max(1);
-    let chunks: Vec<Vec<usize>> = order.chunks(chunk_len).map(|c| c.to_vec()).collect();
-    let nchunks = chunks.len();
-    let total: u64 = chunks
-        .into_par_iter()
-        .map(|chunk| {
-            let mut spa = Spa::<u64>::new(nverts);
-            let mut rec: &MetricsHub = hub;
-            let t0 = std::time::Instant::now();
-            hub.enter_span("chunk");
-            let mut sum = 0u64;
-            for k in chunk {
-                sum +=
-                    update_for_vertex_recorded(part_adj, other_adj, filter, k, &mut spa, &mut rec);
-            }
-            hub.exit_span("chunk");
-            hub.record_hist("chunk_us", t0.elapsed().as_micros() as u64);
-            sum
-        })
-        .sum();
-    hub.incr(Counter::ParChunks, nchunks as u64);
-    total
-}
-
-/// [`count_parallel`] recording live into a shared [`MetricsHub`]; see
-/// [`count_partitioned_parallel_shared`] for the liveness contract.
-pub fn count_parallel_shared(g: &BipartiteGraph, inv: Invariant, hub: &MetricsHub) -> u64 {
-    let (part_adj, other_adj) = match inv.partitioned_side() {
-        Side::V2 => (g.biadjacency_t(), g.biadjacency()),
-        Side::V1 => (g.biadjacency(), g.biadjacency_t()),
-    };
-    let mut rec: &MetricsHub = hub;
-    bfly_telemetry::timed_phase(&mut rec, "count_parallel", |_| {
-        count_partitioned_parallel_shared(
-            part_adj,
-            other_adj,
-            inv.traversal(),
-            inv.update_part(),
-            hub,
-        )
-    })
+    let chunks = order.chunks(chunk_len).collect();
+    count_vertex_chunks::<R, u64>(part_adj, other_adj, filter, chunks, None, rec).0
 }
 
 /// Exact wedge work each partitioned vertex will trigger: vertex `k`'s
@@ -306,12 +358,8 @@ pub fn count_partitioned_parallel_balanced(
 }
 
 /// Instrumented [`count_partitioned_parallel_balanced`]. Emits the same
-/// stream as [`count_partitioned_parallel_recorded`] — per-worker
-/// [`ThreadTrace`]s with `chunk` spans, the `chunk_us` histogram, the
-/// `par_chunk_wedges` series, and the `par_imbalance` gauge — so balanced
-/// and equal-range runs diff directly in `bfly report diff`. Unlike the
-/// equal-range path, the balanced boundaries are also used when the
-/// recorder is disabled.
+/// stream as [`count_partitioned_parallel_recorded`], so balanced and
+/// equal-range runs diff directly in `bfly report diff`.
 pub fn count_partitioned_parallel_balanced_recorded<R: Recorder>(
     part_adj: &Pattern,
     other_adj: &Pattern,
@@ -320,69 +368,27 @@ pub fn count_partitioned_parallel_balanced_recorded<R: Recorder>(
     nchunks: usize,
     rec: &mut R,
 ) -> u64 {
-    let nverts = part_adj.nrows();
-    let order: Vec<usize> = match traversal {
-        Traversal::Forward => (0..nverts).collect(),
-        Traversal::Backward => (0..nverts).rev().collect(),
-    };
-    // Weights follow traversal order so boundaries balance the order
-    // actually processed (weights are direction-independent per vertex).
+    let order = traversal_order(part_adj.nrows(), traversal);
+    let chunks = balanced_vertex_chunks(&order, part_adj, other_adj, nchunks);
+    count_vertex_chunks::<R, u64>(part_adj, other_adj, filter, chunks, None, rec).0
+}
+
+/// The non-empty chunks of `order` under [`balanced_chunk_bounds`].
+/// Weights follow traversal order so boundaries balance the order
+/// actually processed (weights are direction-independent per vertex).
+fn balanced_vertex_chunks<'a>(
+    order: &'a [usize],
+    part_adj: &Pattern,
+    other_adj: &Pattern,
+    nchunks: usize,
+) -> Vec<&'a [usize]> {
     let weights_by_vertex = wedge_weights(part_adj, other_adj);
     let weights: Vec<u64> = order.iter().map(|&k| weights_by_vertex[k]).collect();
-    let bounds = balanced_chunk_bounds(&weights, nchunks);
-    let chunks: Vec<&[usize]> = bounds
+    balanced_chunk_bounds(&weights, nchunks)
         .windows(2)
         .map(|w| &order[w[0]..w[1]])
         .filter(|c| !c.is_empty())
-        .collect();
-    if !R::ENABLED {
-        return chunks
-            .into_par_iter()
-            .map(|chunk| {
-                let mut spa = Spa::<u64>::new(nverts);
-                chunk
-                    .iter()
-                    .map(|&k| update_for_vertex(part_adj, other_adj, filter, k, &mut spa))
-                    .sum::<u64>()
-            })
-            .sum();
-    }
-    let per_chunk: Vec<(u64, ThreadTrace)> = chunks
-        .into_par_iter()
-        .map(|chunk| {
-            let mut spa = Spa::<u64>::new(nverts);
-            let mut trace = ThreadTrace::new();
-            let t0 = std::time::Instant::now();
-            trace.span_enter("chunk");
-            let mut sum = 0u64;
-            for &k in chunk {
-                sum += update_for_vertex_recorded(
-                    part_adj, other_adj, filter, k, &mut spa, &mut trace,
-                );
-            }
-            trace.span_exit("chunk");
-            trace.hist_record("chunk_us", t0.elapsed().as_micros() as u64);
-            (sum, trace)
-        })
-        .collect();
-    rec.incr(Counter::ParChunks, per_chunk.len() as u64);
-    let nchunks_run = per_chunk.len();
-    let mut total = 0u64;
-    let mut max_wedges = 0u64;
-    let mut sum_wedges = 0u64;
-    for (i, (sub, trace)) in per_chunk.into_iter().enumerate() {
-        total += sub;
-        let w = trace.tally().get(Counter::WedgesExpanded);
-        rec.series_push("par_chunk_wedges", w as f64);
-        max_wedges = max_wedges.max(w);
-        sum_wedges += w;
-        rec.merge_thread(i as u32 + 1, trace);
-    }
-    if nchunks_run > 0 && sum_wedges > 0 {
-        let mean = sum_wedges as f64 / nchunks_run as f64;
-        rec.gauge("par_imbalance", max_wedges as f64 / mean);
-    }
-    total
+        .collect()
 }
 
 /// Overflow-checked [`count_partitioned_parallel_balanced`]: each chunk
@@ -401,7 +407,13 @@ pub fn try_count_partitioned_parallel(
     nchunks: usize,
 ) -> crate::error::Result<u64> {
     let (acc, _complete) = count_partitioned_parallel_checked_deadline(
-        part_adj, other_adj, traversal, filter, nchunks, None,
+        part_adj,
+        other_adj,
+        traversal,
+        filter,
+        nchunks,
+        None,
+        &mut NoopRecorder,
     )?;
     acc.finish()
         .map_err(|partial| crate::error::BflyError::CountOverflow {
@@ -411,19 +423,21 @@ pub fn try_count_partitioned_parallel(
 }
 
 /// The deadline-aware engine behind [`try_count_partitioned_parallel`]
-/// and the budgeted adaptive count: each chunk polls the deadline every
-/// [`super::engine::DEADLINE_STRIDE`] of its own vertices (never inside a
-/// wedge expansion) and stops early when it has passed. Returns the
-/// merged accumulator and whether **every** chunk ran to completion; a
-/// truncated accumulator holds the exact sum over the vertices processed
-/// before the cut.
-pub(crate) fn count_partitioned_parallel_checked_deadline(
+/// and the budgeted adaptive count: the balanced chunks of
+/// [`count_partitioned_parallel_balanced_recorded`], each polling the
+/// deadline every [`DEADLINE_STRIDE`](super::engine::DEADLINE_STRIDE) of
+/// its own vertices (never inside a wedge expansion) and stopping early
+/// when it has passed. Returns the merged accumulator and whether
+/// **every** chunk ran to completion; a truncated accumulator holds the
+/// exact sum over the vertices processed before the cut.
+pub(crate) fn count_partitioned_parallel_checked_deadline<R: Recorder>(
     part_adj: &Pattern,
     other_adj: &Pattern,
     traversal: Traversal,
     filter: PartFilter,
     nchunks: usize,
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
+    rec: &mut R,
 ) -> crate::error::Result<(CheckedAccum, bool)> {
     if part_adj.nrows() != other_adj.ncols() || part_adj.ncols() != other_adj.nrows() {
         return Err(crate::error::BflyError::InvalidGraph {
@@ -436,52 +450,11 @@ pub(crate) fn count_partitioned_parallel_checked_deadline(
             ),
         });
     }
-    let nverts = part_adj.nrows();
-    let order: Vec<usize> = match traversal {
-        Traversal::Forward => (0..nverts).collect(),
-        Traversal::Backward => (0..nverts).rev().collect(),
-    };
-    let weights_by_vertex = wedge_weights(part_adj, other_adj);
-    let weights: Vec<u64> = order.iter().map(|&k| weights_by_vertex[k]).collect();
-    let bounds = balanced_chunk_bounds(&weights, nchunks.max(1));
-    let chunks: Vec<&[usize]> = bounds
-        .windows(2)
-        .map(|w| &order[w[0]..w[1]])
-        .filter(|c| !c.is_empty())
-        .collect();
-    let partials: Vec<(CheckedAccum, bool)> = chunks
-        .into_par_iter()
-        .map(|chunk| {
-            let mut spa = Spa::<u64>::new(nverts);
-            let mut acc = CheckedAccum::new();
-            for (done, &k) in chunk.iter().enumerate() {
-                if done % super::engine::DEADLINE_STRIDE == super::engine::DEADLINE_STRIDE - 1 {
-                    if let Some(d) = deadline {
-                        if std::time::Instant::now() >= d {
-                            return (acc, false);
-                        }
-                    }
-                }
-                update_for_vertex_checked_recorded(
-                    part_adj,
-                    other_adj,
-                    filter,
-                    k,
-                    &mut spa,
-                    &mut acc,
-                    &mut NoopRecorder,
-                );
-            }
-            (acc, true)
-        })
-        .collect();
-    let mut total = CheckedAccum::new();
-    let mut complete = true;
-    for (p, c) in partials {
-        total.merge(p);
-        complete &= c;
-    }
-    Ok((total, complete))
+    let order = traversal_order(part_adj.nrows(), traversal);
+    let chunks = balanced_vertex_chunks(&order, part_adj, other_adj, nchunks);
+    Ok(count_vertex_chunks(
+        part_adj, other_adj, filter, chunks, deadline, rec,
+    ))
 }
 
 /// Count butterflies with the given invariant using rayon's current pool.
@@ -540,6 +513,59 @@ mod tests {
     use bfly_graph::generators::{chung_lu, uniform_exact};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Liveness pin for the runner: a shared hub's workers record live,
+    /// so chunk 0 can observe chunk 1's counter while both still run. A
+    /// runner that buffered hub workers and merged them at the join
+    /// would leave chunk 0 waiting until its timeout.
+    #[test]
+    fn hub_workers_publish_while_other_chunks_run() {
+        use bfly_telemetry::MetricsHub;
+        use std::time::Duration;
+        let hub = MetricsHub::new();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        let mut rec: &MetricsHub = &hub;
+        let seen = pool.install(|| {
+            run_chunks(vec![0usize, 1], &mut rec, |chunk, w| {
+                if chunk == 1 {
+                    w.incr(Counter::WedgesExpanded, 7);
+                    return true;
+                }
+                let t0 = Instant::now();
+                while hub.snapshot().counter(Counter::WedgesExpanded) < 7 {
+                    if t0.elapsed() > Duration::from_secs(10) {
+                        return false;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                true
+            })
+        });
+        assert_eq!(
+            seen,
+            vec![true, true],
+            "chunk 0 never saw chunk 1's counter"
+        );
+        let snap = hub.snapshot();
+        assert_eq!(snap.counter(Counter::ParChunks), 2);
+        assert_eq!(snap.counter(Counter::WedgesExpanded), 7);
+    }
+
+    #[test]
+    fn runner_returns_results_in_chunk_order_at_any_width() {
+        for threads in [1, 2, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let out =
+                pool.install(|| run_chunks((0..7u64).collect(), &mut NoopRecorder, |c, _| c * 10));
+            assert_eq!(out, (0..7u64).map(|c| c * 10).collect::<Vec<_>>());
+        }
+    }
 
     #[test]
     fn weight_p90_ignores_zeros_and_orders_correctly() {

@@ -27,15 +27,13 @@
 //! `g_j`; the property suite pins the formula against the
 //! `wedges_expanded` counter and against the best fixed invariant.
 
-use super::engine::DEADLINE_STRIDE;
-use super::parallel::balanced_chunk_bounds;
+use super::engine::{drain_pairs, Accum, DEADLINE_STRIDE};
+use super::parallel::{balanced_chunk_bounds, merge_chunks, run_chunks};
 use bfly_graph::ordering::global_degree_ranks;
 use bfly_graph::BipartiteGraph;
 use bfly_sparse::{choose2, CheckedAccum, Pattern, Spa};
-use bfly_telemetry::{
-    timed_phase, timed_span, Counter, MetricsHub, NoopRecorder, Recorder, ThreadTrace,
-};
-use rayon::prelude::*;
+use bfly_telemetry::{timed_phase, timed_span, Counter, NoopRecorder, Recorder};
+use std::ops::Range;
 use std::time::Instant;
 
 /// The global priority order: `rank_v1[u]` / `rank_v2[v]` is the position
@@ -96,6 +94,72 @@ pub fn priority_wedge_work_with(g: &BipartiteGraph, ranks: &PriorityRanks) -> u6
     total
 }
 
+/// One side's starts under the priority order: `adj.row(u)` lists start
+/// `u`'s opposite-side neighbours (the wedge centres), `adj_mid.row(j)`
+/// a centre's neighbours (the far endpoints), with both sides' ranks.
+#[derive(Clone, Copy)]
+pub(super) struct Starts<'a> {
+    adj: &'a Pattern,
+    adj_mid: &'a Pattern,
+    rank: &'a [u32],
+    rank_mid: &'a [u32],
+}
+
+impl<'a> Starts<'a> {
+    /// The V1 starts (centres in V2) and the V2 starts (centres in V1).
+    pub(super) fn both(g: &'a BipartiteGraph, ranks: &'a PriorityRanks) -> [Starts<'a>; 2] {
+        let (a, at) = (g.biadjacency(), g.biadjacency_t());
+        let (r1, r2) = (&ranks.rank_v1[..], &ranks.rank_v2[..]);
+        [
+            Starts {
+                adj: a,
+                adj_mid: at,
+                rank: r1,
+                rank_mid: r2,
+            },
+            Starts {
+                adj: at,
+                adj_mid: a,
+                rank: r2,
+                rank_mid: r1,
+            },
+        ]
+    }
+
+    /// Call `f(j, w)` for every priority wedge `u – j – w` of start `u`:
+    /// the centre `j` and the far endpoint `w ≠ u` both out-rank `u`. The
+    /// one wedge-selection rule every priority-order kernel shares.
+    #[inline]
+    pub(super) fn for_each_wedge(&self, u: usize, mut f: impl FnMut(u32, u32)) {
+        let ru = self.rank[u];
+        for &j in self.adj.row(u) {
+            if self.rank_mid[j as usize] <= ru {
+                continue;
+            }
+            for &w in self.adj_mid.row(j as usize) {
+                if w as usize != u && self.rank[w as usize] > ru {
+                    f(j, w);
+                }
+            }
+        }
+    }
+}
+
+/// The side and local id of start `s` of the combined index space
+/// (`s < nv1` → V1 start `s`, else V2 start `s − nv1`).
+#[inline]
+pub(super) fn start_of<'s, 'a>(
+    starts: &'s [Starts<'a>; 2],
+    nv1: usize,
+    s: usize,
+) -> (&'s Starts<'a>, usize) {
+    if s < nv1 {
+        (&starts[0], s)
+    } else {
+        (&starts[1], s - nv1)
+    }
+}
+
 /// Cheap per-start upper bound on the wedges each start vertex expands —
 /// `Σ_{j ∈ N(s), rank(j) > rank(s)} (deg(j) − 1)` — used to place
 /// work-balanced chunk boundaries over the combined start space
@@ -103,64 +167,41 @@ pub fn priority_wedge_work_with(g: &BipartiteGraph, ranks: &PriorityRanks) -> u6
 /// (it skips the far-endpoint rank filter) but proportional enough to
 /// balance chunks; exactness is not required for correctness.
 pub fn priority_start_weights(g: &BipartiteGraph, ranks: &PriorityRanks) -> Vec<u64> {
-    let a = g.biadjacency();
-    let at = g.biadjacency_t();
     let mut weights = Vec::with_capacity(g.nv1() + g.nv2());
-    for u in 0..g.nv1() {
-        let ru = ranks.rank_v1[u];
-        let w: u64 = a
-            .row(u)
-            .iter()
-            .filter(|&&j| ranks.rank_v2[j as usize] > ru)
-            .map(|&j| (at.row(j as usize).len() as u64).saturating_sub(1))
-            .sum();
-        weights.push(w);
-    }
-    for v in 0..g.nv2() {
-        let rv = ranks.rank_v2[v];
-        let w: u64 = at
-            .row(v)
-            .iter()
-            .filter(|&&j| ranks.rank_v1[j as usize] > rv)
-            .map(|&j| (a.row(j as usize).len() as u64).saturating_sub(1))
-            .sum();
-        weights.push(w);
+    for side in Starts::both(g, ranks) {
+        weights.extend((0..side.adj.nrows()).map(|u| {
+            let ru = side.rank[u];
+            side.adj
+                .row(u)
+                .iter()
+                .filter(|&&j| side.rank_mid[j as usize] > ru)
+                .map(|&j| (side.adj_mid.row(j as usize).len() as u64).saturating_sub(1))
+                .sum::<u64>()
+        }));
     }
     weights
 }
 
-/// Expand the priority wedges of one start vertex `u` and return the
-/// butterflies charged to it. `adj_start.row(u)` lists `u`'s
-/// opposite-side neighbours (wedge midpoints), `adj_mid.row(j)` the far
-/// endpoints. Records through the same counter vocabulary as the family
-/// engine (`vertices_exposed`, `wedges_expanded`, `spa_scatters`,
-/// `accum_entries`, `vertex_wedges`), every site guarded by
-/// `R::ENABLED`.
+/// Expand the priority wedges of one start vertex `u` and add the
+/// butterflies charged to it to `acc`. Records through the same counter
+/// vocabulary as the family engine (`vertices_exposed`,
+/// `wedges_expanded`, `spa_scatters`, `accum_entries`, `vertex_wedges`),
+/// every site guarded by `R::ENABLED`.
 #[inline]
-fn expand_start_recorded<R: Recorder>(
-    adj_start: &Pattern,
-    adj_mid: &Pattern,
-    rank_start: &[u32],
-    rank_mid: &[u32],
+fn expand_start<R: Recorder, A: Accum>(
+    side: &Starts,
     u: usize,
     spa: &mut Spa<u64>,
+    acc: &mut A,
     rec: &mut R,
-) -> u64 {
-    let ru = rank_start[u];
+) {
     let mut wedges = 0u64;
-    for &j in adj_start.row(u) {
-        if rank_mid[j as usize] <= ru {
-            continue;
+    side.for_each_wedge(u, |_, w| {
+        if R::ENABLED {
+            wedges += 1;
         }
-        for &w in adj_mid.row(j as usize) {
-            if w as usize != u && rank_start[w as usize] > ru {
-                if R::ENABLED {
-                    wedges += 1;
-                }
-                spa.scatter(w, 1);
-            }
-        }
-    }
+        spa.scatter(w, 1);
+    });
     if R::ENABLED {
         rec.incr(Counter::VerticesExposed, 1);
         rec.incr(Counter::WedgesExpanded, wedges);
@@ -168,99 +209,78 @@ fn expand_start_recorded<R: Recorder>(
         rec.incr(Counter::AccumEntries, spa.touched_len() as u64);
         rec.hist_record("vertex_wedges", wedges);
     }
-    let mut acc = 0u64;
-    for (_, cnt) in spa.entries() {
-        acc += choose2(cnt);
-    }
-    spa.clear();
-    acc
+    drain_pairs(spa, acc);
 }
 
-/// Overflow-checked [`expand_start_recorded`]: the `Σ C(cnt, 2)` update
-/// lands in a [`CheckedAccum`] (promoting to `u128` instead of wrapping).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn expand_start_checked_recorded<R: Recorder>(
-    adj_start: &Pattern,
-    adj_mid: &Pattern,
-    rank_start: &[u32],
-    rank_mid: &[u32],
-    u: usize,
+/// Run the starts `starts` of the combined index space (`s < nv1` → V1
+/// start, else V2 start `s − nv1`) in order, polling `deadline` every
+/// [`DEADLINE_STRIDE`] starts. Returns `false` if the deadline cut the
+/// run short; `acc` then holds the exact sum over the starts processed.
+fn run_starts<R: Recorder, A: Accum>(
+    g: &BipartiteGraph,
+    ranks: &PriorityRanks,
+    starts: Range<usize>,
     spa: &mut Spa<u64>,
-    acc: &mut CheckedAccum,
+    acc: &mut A,
+    deadline: Option<Instant>,
     rec: &mut R,
-) {
-    let ru = rank_start[u];
-    let mut wedges = 0u64;
-    for &j in adj_start.row(u) {
-        if rank_mid[j as usize] <= ru {
-            continue;
-        }
-        for &w in adj_mid.row(j as usize) {
-            if w as usize != u && rank_start[w as usize] > ru {
-                if R::ENABLED {
-                    wedges += 1;
-                }
-                spa.scatter(w, 1);
+) -> bool {
+    let sides = Starts::both(g, ranks);
+    for (done, s) in starts.enumerate() {
+        if let Some(d) = deadline {
+            if done % DEADLINE_STRIDE == DEADLINE_STRIDE - 1 && Instant::now() >= d {
+                return false;
             }
         }
+        let (side, u) = start_of(&sides, g.nv1(), s);
+        expand_start(side, u, spa, acc, rec);
     }
-    if R::ENABLED {
-        rec.incr(Counter::VerticesExposed, 1);
-        rec.incr(Counter::WedgesExpanded, wedges);
-        rec.incr(Counter::SpaScatters, wedges);
-        rec.incr(Counter::AccumEntries, spa.touched_len() as u64);
-        rec.hist_record("vertex_wedges", wedges);
-    }
-    for (_, cnt) in spa.entries() {
-        acc.add(choose2(cnt));
-    }
-    spa.clear();
+    true
 }
 
-/// Run one start from the combined index space (`s < nv1` → V1 start,
-/// else V2 start `s − nv1`).
-#[inline]
-pub(crate) fn run_start_recorded<R: Recorder>(
+/// The sequential priority loop over every start, inside a
+/// `count_priority` span.
+fn count_priority_seq<R: Recorder, A: Accum>(
     g: &BipartiteGraph,
     ranks: &PriorityRanks,
-    s: usize,
-    spa: &mut Spa<u64>,
+    acc: &mut A,
+    deadline: Option<Instant>,
     rec: &mut R,
-) -> u64 {
-    let (a, at) = (g.biadjacency(), g.biadjacency_t());
-    if s < g.nv1() {
-        expand_start_recorded(a, at, &ranks.rank_v1, &ranks.rank_v2, s, spa, rec)
-    } else {
-        expand_start_recorded(at, a, &ranks.rank_v2, &ranks.rank_v1, s - g.nv1(), spa, rec)
-    }
+) -> bool {
+    let mut spa = Spa::<u64>::new(g.nv1().max(g.nv2()));
+    let starts = 0..g.nv1() + g.nv2();
+    timed_span(rec, "count_priority", |rec| {
+        run_starts(g, ranks, starts, &mut spa, acc, deadline, rec)
+    })
 }
 
-/// Checked twin of [`run_start_recorded`].
-#[inline]
-pub(crate) fn run_start_checked_recorded<R: Recorder>(
+/// The combined start space cut into `nchunks` contiguous non-empty
+/// ranges balanced by [`priority_start_weights`].
+fn priority_chunks(g: &BipartiteGraph, ranks: &PriorityRanks, nchunks: usize) -> Vec<Range<usize>> {
+    let weights = priority_start_weights(g, ranks);
+    balanced_chunk_bounds(&weights, nchunks.max(1))
+        .windows(2)
+        .map(|w| w[0]..w[1])
+        .filter(|r| !r.is_empty())
+        .collect()
+}
+
+/// Run `chunks` through [`run_chunks`], each on a private SPA and
+/// accumulator, merging the partials in chunk order.
+fn count_priority_chunks<R: Recorder, A: Accum>(
     g: &BipartiteGraph,
     ranks: &PriorityRanks,
-    s: usize,
-    spa: &mut Spa<u64>,
-    acc: &mut CheckedAccum,
+    chunks: Vec<Range<usize>>,
+    deadline: Option<Instant>,
     rec: &mut R,
-) {
-    let (a, at) = (g.biadjacency(), g.biadjacency_t());
-    if s < g.nv1() {
-        expand_start_checked_recorded(a, at, &ranks.rank_v1, &ranks.rank_v2, s, spa, acc, rec)
-    } else {
-        expand_start_checked_recorded(
-            at,
-            a,
-            &ranks.rank_v2,
-            &ranks.rank_v1,
-            s - g.nv1(),
-            spa,
-            acc,
-            rec,
-        )
-    }
+) -> (A, bool) {
+    let spa_len = g.nv1().max(g.nv2());
+    merge_chunks(run_chunks(chunks, rec, |range, w| {
+        let mut spa = Spa::<u64>::new(spa_len);
+        let mut acc = A::default();
+        let complete = run_starts(g, ranks, range, &mut spa, &mut acc, deadline, w);
+        (acc, complete)
+    }))
 }
 
 /// Count the butterflies of `g` with the vertex-priority kernel
@@ -273,16 +293,10 @@ pub fn count_priority(g: &BipartiteGraph) -> u64 {
 /// the ordering sort, and a `"count"` phase through `rec`.
 pub fn count_priority_recorded<R: Recorder>(g: &BipartiteGraph, rec: &mut R) -> u64 {
     let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
-    let nstarts = g.nv1() + g.nv2();
-    let mut spa = Spa::<u64>::new(g.nv1().max(g.nv2()));
     timed_phase(rec, "count", |rec| {
-        timed_span(rec, "count_priority", |rec| {
-            let mut total = 0u64;
-            for s in 0..nstarts {
-                total += run_start_recorded(g, &ranks, s, &mut spa, rec);
-            }
-            total
-        })
+        let mut total = 0u64;
+        count_priority_seq(g, &ranks, &mut total, None, rec);
+        total
     })
 }
 
@@ -295,182 +309,51 @@ pub fn count_priority_parallel(g: &BipartiteGraph, nchunks: usize) -> u64 {
     count_priority_parallel_recorded(g, nchunks, &mut NoopRecorder)
 }
 
-/// Instrumented [`count_priority_parallel`]: the same event stream as the
-/// family's balanced parallel path — per-worker [`ThreadTrace`]s with
-/// `chunk` spans, the `chunk_us` histogram, the `par_chunk_wedges`
-/// series, and the `par_imbalance` gauge — inside a `count_parallel`
-/// phase.
+/// Instrumented [`count_priority_parallel`]: the family's parallel event
+/// stream from [`run_chunks`] (`chunk` spans, the `chunk_us` histogram,
+/// the `par_chunk_wedges` series, the `par_imbalance` gauge) inside a
+/// `count_parallel` phase.
 pub fn count_priority_parallel_recorded<R: Recorder>(
     g: &BipartiteGraph,
     nchunks: usize,
     rec: &mut R,
 ) -> u64 {
     let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
-    let weights = priority_start_weights(g, &ranks);
-    let bounds = balanced_chunk_bounds(&weights, nchunks.max(1));
-    let spa_len = g.nv1().max(g.nv2());
-    let chunks: Vec<std::ops::Range<usize>> = bounds
-        .windows(2)
-        .map(|w| w[0]..w[1])
-        .filter(|r| !r.is_empty())
-        .collect();
+    let chunks = priority_chunks(g, &ranks, nchunks);
     timed_phase(rec, "count_parallel", |rec| {
-        if !R::ENABLED {
-            return chunks
-                .into_par_iter()
-                .map(|range| {
-                    let mut spa = Spa::<u64>::new(spa_len);
-                    range
-                        .map(|s| run_start_recorded(g, &ranks, s, &mut spa, &mut NoopRecorder))
-                        .sum::<u64>()
-                })
-                .sum();
-        }
-        let per_chunk: Vec<(u64, ThreadTrace)> = chunks
-            .into_par_iter()
-            .map(|range| {
-                let mut spa = Spa::<u64>::new(spa_len);
-                let mut trace = ThreadTrace::new();
-                let t0 = Instant::now();
-                trace.span_enter("chunk");
-                let mut sum = 0u64;
-                for s in range {
-                    sum += run_start_recorded(g, &ranks, s, &mut spa, &mut trace);
-                }
-                trace.span_exit("chunk");
-                trace.hist_record("chunk_us", t0.elapsed().as_micros() as u64);
-                (sum, trace)
-            })
-            .collect();
-        rec.incr(Counter::ParChunks, per_chunk.len() as u64);
-        let nchunks_run = per_chunk.len();
-        let mut total = 0u64;
-        let mut max_wedges = 0u64;
-        let mut sum_wedges = 0u64;
-        for (i, (sub, trace)) in per_chunk.into_iter().enumerate() {
-            total += sub;
-            let w = trace.tally().get(Counter::WedgesExpanded);
-            rec.series_push("par_chunk_wedges", w as f64);
-            max_wedges = max_wedges.max(w);
-            sum_wedges += w;
-            rec.merge_thread(i as u32 + 1, trace);
-        }
-        if nchunks_run > 0 && sum_wedges > 0 {
-            let mean = sum_wedges as f64 / nchunks_run as f64;
-            rec.gauge("par_imbalance", max_wedges as f64 / mean);
-        }
-        total
+        count_priority_chunks::<R, u64>(g, &ranks, chunks, None, rec).0
     })
 }
 
-/// Shared-hub [`count_priority_parallel`]: workers record live into the
-/// concurrent [`MetricsHub`] as they go, so a mid-run observer sees
-/// `wedges_expanded` advance against the exact
-/// [`priority_wedge_work`] forecast. Totals are bitwise identical to the
-/// buffered path.
-pub fn count_priority_shared(g: &BipartiteGraph, nchunks: usize, hub: &MetricsHub) -> u64 {
-    let mut rec: &MetricsHub = hub;
-    let ranks = timed_span(&mut rec, "priority_rank", |_| PriorityRanks::compute(g));
-    let weights = priority_start_weights(g, &ranks);
-    let bounds = balanced_chunk_bounds(&weights, nchunks.max(1));
-    let spa_len = g.nv1().max(g.nv2());
-    let chunks: Vec<std::ops::Range<usize>> = bounds
-        .windows(2)
-        .map(|w| w[0]..w[1])
-        .filter(|r| !r.is_empty())
-        .collect();
-    let nchunks_run = chunks.len();
-    timed_phase(&mut rec, "count_parallel", |_| {
-        let total: u64 = chunks
-            .into_par_iter()
-            .map(|range| {
-                let mut spa = Spa::<u64>::new(spa_len);
-                let mut rec: &MetricsHub = hub;
-                let t0 = Instant::now();
-                hub.enter_span("chunk");
-                let mut sum = 0u64;
-                for s in range {
-                    sum += run_start_recorded(g, &ranks, s, &mut spa, &mut rec);
-                }
-                hub.exit_span("chunk");
-                hub.record_hist("chunk_us", t0.elapsed().as_micros() as u64);
-                sum
-            })
-            .sum();
-        hub.incr(Counter::ParChunks, nchunks_run as u64);
-        total
-    })
-}
-
-/// Overflow-checked, deadline-aware priority count. `nchunks <= 1` runs
-/// the sequential loop polling the deadline every [`DEADLINE_STRIDE`]
-/// starts; larger `nchunks` runs balanced parallel chunks, each polling
-/// independently, with the per-chunk [`CheckedAccum`] partials merged in
-/// chunk order. Returns the accumulator and whether every start was
-/// processed; a truncated accumulator holds the exact sum over the
-/// starts processed before the cut.
-pub(crate) fn count_priority_checked_deadline(
+/// Overflow-checked, deadline-aware priority count with the same
+/// recording as the unchecked paths. `nchunks <= 1` runs the sequential
+/// loop polling the deadline every [`DEADLINE_STRIDE`] starts; larger
+/// `nchunks` runs balanced parallel chunks, each polling independently,
+/// with the per-chunk [`CheckedAccum`] partials merged in chunk order.
+/// Returns the accumulator and whether every start was processed; a
+/// truncated accumulator holds the exact sum over the starts processed
+/// before the cut.
+pub(crate) fn count_priority_checked_deadline<R: Recorder>(
     g: &BipartiteGraph,
     nchunks: usize,
     deadline: Option<Instant>,
+    rec: &mut R,
 ) -> crate::error::Result<(CheckedAccum, bool)> {
-    let ranks = PriorityRanks::compute(g);
-    let nstarts = g.nv1() + g.nv2();
-    let spa_len = g.nv1().max(g.nv2());
+    let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
     if nchunks <= 1 {
-        let mut spa = Spa::<u64>::new(spa_len);
         let mut acc = CheckedAccum::new();
-        for s in 0..nstarts {
-            if s % DEADLINE_STRIDE == DEADLINE_STRIDE - 1 {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return Ok((acc, false));
-                    }
-                }
-            }
-            run_start_checked_recorded(g, &ranks, s, &mut spa, &mut acc, &mut NoopRecorder);
-        }
-        return Ok((acc, true));
+        let complete = count_priority_seq(g, &ranks, &mut acc, deadline, rec);
+        return Ok((acc, complete));
     }
-    let weights = priority_start_weights(g, &ranks);
-    let bounds = balanced_chunk_bounds(&weights, nchunks);
-    let chunks: Vec<std::ops::Range<usize>> = bounds
-        .windows(2)
-        .map(|w| w[0]..w[1])
-        .filter(|r| !r.is_empty())
-        .collect();
-    let partials: Vec<(CheckedAccum, bool)> = chunks
-        .into_par_iter()
-        .map(|range| {
-            let mut spa = Spa::<u64>::new(spa_len);
-            let mut acc = CheckedAccum::new();
-            for (done, s) in range.enumerate() {
-                if done % DEADLINE_STRIDE == DEADLINE_STRIDE - 1 {
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            return (acc, false);
-                        }
-                    }
-                }
-                run_start_checked_recorded(g, &ranks, s, &mut spa, &mut acc, &mut NoopRecorder);
-            }
-            (acc, true)
-        })
-        .collect();
-    let mut total = CheckedAccum::new();
-    let mut complete = true;
-    for (p, c) in partials {
-        total.merge(p);
-        complete &= c;
-    }
-    Ok((total, complete))
+    let chunks = priority_chunks(g, &ranks, nchunks);
+    Ok(count_priority_chunks(g, &ranks, chunks, deadline, rec))
 }
 
 /// Fallible [`count_priority`]: validates the graph up front and runs
 /// the overflow-checked kernel.
 pub fn try_count_priority(g: &BipartiteGraph) -> crate::error::Result<u64> {
     crate::error::validate_graph(g)?;
-    let (acc, _complete) = count_priority_checked_deadline(g, 1, None)?;
+    let (acc, _complete) = count_priority_checked_deadline(g, 1, None, &mut NoopRecorder)?;
     acc.finish()
         .map_err(|partial| crate::error::BflyError::CountOverflow {
             partial,
@@ -484,7 +367,8 @@ pub fn try_count_priority_parallel(
     nchunks: usize,
 ) -> crate::error::Result<u64> {
     crate::error::validate_graph(g)?;
-    let (acc, _complete) = count_priority_checked_deadline(g, nchunks.max(2), None)?;
+    let (acc, _complete) =
+        count_priority_checked_deadline(g, nchunks.max(2), None, &mut NoopRecorder)?;
     acc.finish()
         .map_err(|partial| crate::error::BflyError::CountOverflow {
             partial,
@@ -503,73 +387,38 @@ pub fn try_count_priority_parallel(
 /// on both sides (pinned by the differential suites).
 pub fn butterflies_per_vertex_priority(g: &BipartiteGraph) -> (Vec<u64>, Vec<u64>) {
     let ranks = PriorityRanks::compute(g);
-    let (a, at) = (g.biadjacency(), g.biadjacency_t());
+    let [v1, v2] = Starts::both(g, &ranks);
     let mut b1 = vec![0u64; g.nv1()];
     let mut b2 = vec![0u64; g.nv2()];
     let mut spa = Spa::<u64>::new(g.nv1().max(g.nv2()));
-
-    // V1 starts: far endpoints in V1, centres in V2.
+    // V1 starts charge V1 endpoints and V2 centres; V2 starts the mirror.
     for u in 0..g.nv1() {
-        let ru = ranks.rank_v1[u];
-        for &j in a.row(u) {
-            if ranks.rank_v2[j as usize] <= ru {
-                continue;
-            }
-            for &w in at.row(j as usize) {
-                if w as usize != u && ranks.rank_v1[w as usize] > ru {
-                    spa.scatter(w, 1);
-                }
-            }
-        }
-        for (w, cnt) in spa.entries() {
-            let b = choose2(cnt);
-            b1[u] += b;
-            b1[w as usize] += b;
-        }
-        // Replay the wedges to credit the centres.
-        for &j in a.row(u) {
-            if ranks.rank_v2[j as usize] <= ru {
-                continue;
-            }
-            for &w in at.row(j as usize) {
-                if w as usize != u && ranks.rank_v1[w as usize] > ru {
-                    b2[j as usize] += spa.get(w) - 1;
-                }
-            }
-        }
-        spa.clear();
+        charge_vertices(&v1, u, &mut spa, &mut b1, &mut b2);
     }
-    // V2 starts: far endpoints in V2, centres in V1.
     for v in 0..g.nv2() {
-        let rv = ranks.rank_v2[v];
-        for &j in at.row(v) {
-            if ranks.rank_v1[j as usize] <= rv {
-                continue;
-            }
-            for &w in a.row(j as usize) {
-                if w as usize != v && ranks.rank_v2[w as usize] > rv {
-                    spa.scatter(w, 1);
-                }
-            }
-        }
-        for (w, cnt) in spa.entries() {
-            let b = choose2(cnt);
-            b2[v] += b;
-            b2[w as usize] += b;
-        }
-        for &j in at.row(v) {
-            if ranks.rank_v1[j as usize] <= rv {
-                continue;
-            }
-            for &w in a.row(j as usize) {
-                if w as usize != v && ranks.rank_v2[w as usize] > rv {
-                    b1[j as usize] += spa.get(w) - 1;
-                }
-            }
-        }
-        spa.clear();
+        charge_vertices(&v2, v, &mut spa, &mut b2, &mut b1);
     }
     (b1, b2)
+}
+
+/// One start's share of [`butterflies_per_vertex_priority`]: endpoints
+/// in `b_start`, centres in `b_mid`.
+fn charge_vertices(
+    side: &Starts,
+    u: usize,
+    spa: &mut Spa<u64>,
+    b_start: &mut [u64],
+    b_mid: &mut [u64],
+) {
+    side.for_each_wedge(u, |_, w| spa.scatter(w, 1));
+    for (w, cnt) in spa.entries() {
+        let b = choose2(cnt);
+        b_start[u] += b;
+        b_start[w as usize] += b;
+    }
+    // Replay the wedges to credit the centres.
+    side.for_each_wedge(u, |j, w| b_mid[j as usize] += spa.get(w) - 1);
+    spa.clear();
 }
 
 /// Per-edge butterfly supports computed by the priority kernel, in the
@@ -580,72 +429,44 @@ pub fn butterflies_per_vertex_priority(g: &BipartiteGraph) -> (Vec<u64>, Vec<u64
 /// it — every butterfly lands on all four of its edges exactly once.
 pub fn edge_supports_priority(g: &BipartiteGraph) -> Vec<u64> {
     let ranks = PriorityRanks::compute(g);
-    let (a, at) = (g.biadjacency(), g.biadjacency_t());
+    let [v1, v2] = Starts::both(g, &ranks);
+    let a = g.biadjacency();
     let ptr = a.ptr();
     let mut out = vec![0u64; g.nedges()];
     let mut spa = Spa::<u64>::new(g.nv1().max(g.nv2()));
     // Edge index of (u ∈ V1, v ∈ V2): CSR offset of u plus the position
     // of v in u's sorted row.
-    let edge_index = |u: usize, v: u32| -> usize {
-        let pos = a.row(u).binary_search(&v).expect("edge exists");
-        ptr[u] + pos
+    let edge_index = |u: u32, v: u32| -> usize {
+        let pos = a.row(u as usize).binary_search(&v).expect("edge exists");
+        ptr[u as usize] + pos
     };
-
-    // V1 starts: wedge u – j – w has edges (u, j) and (w, j).
+    // A wedge's edges join each endpoint to the centre: (endpoint, centre)
+    // for V1 starts, (centre, endpoint) for V2 starts.
     for u in 0..g.nv1() {
-        let ru = ranks.rank_v1[u];
-        for &j in a.row(u) {
-            if ranks.rank_v2[j as usize] <= ru {
-                continue;
-            }
-            for &w in at.row(j as usize) {
-                if w as usize != u && ranks.rank_v1[w as usize] > ru {
-                    spa.scatter(w, 1);
-                }
-            }
-        }
-        for &j in a.row(u) {
-            if ranks.rank_v2[j as usize] <= ru {
-                continue;
-            }
-            for &w in at.row(j as usize) {
-                if w as usize != u && ranks.rank_v1[w as usize] > ru {
-                    let closures = spa.get(w) - 1;
-                    out[edge_index(u, j)] += closures;
-                    out[edge_index(w as usize, j)] += closures;
-                }
-            }
-        }
-        spa.clear();
+        support_edges(&v1, u, &mut spa, &mut out, edge_index);
     }
-    // V2 starts: wedge v – j – w has edges (j, v) and (j, w).
     for v in 0..g.nv2() {
-        let rv = ranks.rank_v2[v];
-        for &j in at.row(v) {
-            if ranks.rank_v1[j as usize] <= rv {
-                continue;
-            }
-            for &w in a.row(j as usize) {
-                if w as usize != v && ranks.rank_v2[w as usize] > rv {
-                    spa.scatter(w, 1);
-                }
-            }
-        }
-        for &j in at.row(v) {
-            if ranks.rank_v1[j as usize] <= rv {
-                continue;
-            }
-            for &w in a.row(j as usize) {
-                if w as usize != v && ranks.rank_v2[w as usize] > rv {
-                    let closures = spa.get(w) - 1;
-                    out[edge_index(j as usize, v as u32)] += closures;
-                    out[edge_index(j as usize, w)] += closures;
-                }
-            }
-        }
-        spa.clear();
+        support_edges(&v2, v, &mut spa, &mut out, |s, j| edge_index(j, s));
     }
     out
+}
+
+/// One start's share of [`edge_supports_priority`]; `edge(s, j)` is the
+/// index of the edge joining wedge endpoint `s` to centre `j`.
+fn support_edges(
+    side: &Starts,
+    u: usize,
+    spa: &mut Spa<u64>,
+    out: &mut [u64],
+    edge: impl Fn(u32, u32) -> usize,
+) {
+    side.for_each_wedge(u, |_, w| spa.scatter(w, 1));
+    side.for_each_wedge(u, |j, w| {
+        let closures = spa.get(w) - 1;
+        out[edge(u as u32, j)] += closures;
+        out[edge(w, j)] += closures;
+    });
+    spa.clear();
 }
 
 #[cfg(test)]
@@ -724,11 +545,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_hub_path_matches_and_is_live() {
+    fn hub_recorder_matches_buffered_counters() {
         let mut rng = StdRng::seed_from_u64(4003);
         let g = uniform_exact(50, 50, 360, &mut rng);
-        let hub = MetricsHub::new();
-        let got = count_priority_shared(&g, 4, &hub);
+        let hub = bfly_telemetry::MetricsHub::new();
+        let got = count_priority_parallel_recorded(&g, 4, &mut &hub);
         assert_eq!(got, count_via_spgemm(&g));
         let snap = hub.snapshot();
         assert_eq!(
@@ -786,7 +607,8 @@ mod tests {
     fn seeded_overflow_promotes_exactly() {
         let g = BipartiteGraph::complete(3, 3);
         let want = count_priority(&g);
-        let (mut acc, complete) = count_priority_checked_deadline(&g, 1, None).unwrap();
+        let (mut acc, complete) =
+            count_priority_checked_deadline(&g, 1, None, &mut NoopRecorder).unwrap();
         assert!(complete);
         acc.merge(CheckedAccum::with_base(u64::MAX - 1));
         assert_eq!(

@@ -22,15 +22,12 @@
 //! [`priority_wedge_work`](super::priority::priority_wedge_work), so the
 //! adaptive forecast is exact for this member too.
 
-use super::engine::DEADLINE_STRIDE;
-use super::parallel::balanced_chunk_bounds;
-use super::priority::{priority_start_weights, PriorityRanks};
+use super::engine::{drain_pairs, Accum, DEADLINE_STRIDE};
+use super::parallel::{balanced_chunk_bounds, merge_chunks, run_chunks};
+use super::priority::{priority_start_weights, start_of, PriorityRanks, Starts};
 use bfly_graph::BipartiteGraph;
-use bfly_sparse::{choose2, CheckedAccum, Spa};
-use bfly_telemetry::{
-    timed_phase, timed_span, Counter, MetricsHub, NoopRecorder, Recorder, ThreadTrace,
-};
-use rayon::prelude::*;
+use bfly_sparse::{CheckedAccum, Spa};
+use bfly_telemetry::{timed_phase, timed_span, Counter, NoopRecorder, Recorder};
 use std::time::Instant;
 
 /// Target wedge work per bucket. Calibrated from the `vertex_wedges` /
@@ -68,46 +65,102 @@ fn bucket_bounds(weights_in_order: &[u64], min_buckets: usize) -> Vec<usize> {
     balanced_chunk_bounds(weights_in_order, nbuckets)
 }
 
+/// One run's bucket layout: the ranks, the starts in rank order, and the
+/// bucket boundaries over them.
+struct Buckets {
+    ranks: PriorityRanks,
+    order: Vec<usize>,
+    bounds: Vec<usize>,
+}
+
+impl Buckets {
+    /// Rank `g` (inside a `priority_rank` span) and cut at least
+    /// `min_buckets` buckets, recording their number as the
+    /// `ranked_buckets` gauge.
+    fn plan<R: Recorder>(g: &BipartiteGraph, min_buckets: usize, rec: &mut R) -> Buckets {
+        let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
+        let order = starts_by_rank(g, &ranks);
+        let weights_by_start = priority_start_weights(g, &ranks);
+        let weights: Vec<u64> = order.iter().map(|&s| weights_by_start[s]).collect();
+        let bounds = bucket_bounds(&weights, min_buckets.max(1));
+        if R::ENABLED {
+            rec.gauge("ranked_buckets", (bounds.len() - 1) as f64);
+        }
+        Buckets {
+            ranks,
+            order,
+            bounds,
+        }
+    }
+
+    /// The buckets' starts, in rank order.
+    fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        self.bounds.windows(2).map(|w| &self.order[w[0]..w[1]])
+    }
+
+    /// Every bucket in turn through one SPA and batch. Stops at the
+    /// first bucket the deadline cut short and returns `false`.
+    fn count_seq<R: Recorder, A: Accum>(
+        &self,
+        g: &BipartiteGraph,
+        acc: &mut A,
+        deadline: Option<Instant>,
+        rec: &mut R,
+    ) -> bool {
+        let mut spa = Spa::<u64>::new(g.nv1().max(g.nv2()));
+        let mut batch = Vec::new();
+        let mut segs = Vec::new();
+        self.iter().all(|starts| {
+            let (spa, batch, segs) = (&mut spa, &mut batch, &mut segs);
+            process_bucket(g, &self.ranks, starts, spa, batch, segs, acc, deadline, rec)
+        })
+    }
+
+    /// The non-empty buckets through [`run_chunks`], each on a private
+    /// SPA, batch and accumulator, partials merged in bucket order.
+    fn count_par<R: Recorder, A: Accum>(
+        &self,
+        g: &BipartiteGraph,
+        deadline: Option<Instant>,
+        rec: &mut R,
+    ) -> (A, bool) {
+        let spa_len = g.nv1().max(g.nv2());
+        let buckets: Vec<&[usize]> = self.iter().filter(|b| !b.is_empty()).collect();
+        merge_chunks(run_chunks(buckets, rec, |starts, w| {
+            let mut spa = Spa::<u64>::new(spa_len);
+            let mut batch = Vec::new();
+            let mut segs = Vec::new();
+            let mut acc = A::default();
+            let complete = process_bucket(
+                g,
+                &self.ranks,
+                starts,
+                &mut spa,
+                &mut batch,
+                &mut segs,
+                &mut acc,
+                deadline,
+                w,
+            );
+            (acc, complete)
+        }))
+    }
+}
+
 /// Materialise the priority wedges of one start into `batch`, recording
 /// `wedges_expanded` (+ `vertices_exposed`, `vertex_wedges`). Far
 /// endpoints only — the segment boundary is the caller's job.
 #[inline]
 fn materialise_start<R: Recorder>(
-    g: &BipartiteGraph,
-    ranks: &PriorityRanks,
+    sides: &[Starts; 2],
+    nv1: usize,
     s: usize,
     batch: &mut Vec<u32>,
     rec: &mut R,
 ) {
-    let (a, at) = (g.biadjacency(), g.biadjacency_t());
     let before = batch.len();
-    if s < g.nv1() {
-        let u = s;
-        let ru = ranks.rank_v1[u];
-        for &j in a.row(u) {
-            if ranks.rank_v2[j as usize] <= ru {
-                continue;
-            }
-            for &w in at.row(j as usize) {
-                if w as usize != u && ranks.rank_v1[w as usize] > ru {
-                    batch.push(w);
-                }
-            }
-        }
-    } else {
-        let v = s - g.nv1();
-        let rv = ranks.rank_v2[v];
-        for &j in at.row(v) {
-            if ranks.rank_v1[j as usize] <= rv {
-                continue;
-            }
-            for &w in a.row(j as usize) {
-                if w as usize != v && ranks.rank_v2[w as usize] > rv {
-                    batch.push(w);
-                }
-            }
-        }
-    }
+    let (side, u) = start_of(sides, nv1, s);
+    side.for_each_wedge(u, |_, w| batch.push(w));
     if R::ENABLED {
         let wedges = (batch.len() - before) as u64;
         rec.incr(Counter::VerticesExposed, 1);
@@ -116,31 +169,13 @@ fn materialise_start<R: Recorder>(
     }
 }
 
-/// Replay one start's batch segment through the SPA and return its
-/// butterfly contribution.
+/// Replay one start's batch segment through the SPA and add its
+/// butterfly contribution to `acc`.
 #[inline]
-fn replay_segment<R: Recorder>(segment: &[u32], spa: &mut Spa<u64>, rec: &mut R) -> u64 {
-    for &w in segment {
-        spa.scatter(w, 1);
-    }
-    if R::ENABLED {
-        rec.incr(Counter::SpaScatters, segment.len() as u64);
-        rec.incr(Counter::AccumEntries, spa.touched_len() as u64);
-    }
-    let mut acc = 0u64;
-    for (_, cnt) in spa.entries() {
-        acc += choose2(cnt);
-    }
-    spa.clear();
-    acc
-}
-
-/// Checked twin of [`replay_segment`].
-#[inline]
-fn replay_segment_checked<R: Recorder>(
+fn replay_segment<R: Recorder, A: Accum>(
     segment: &[u32],
     spa: &mut Spa<u64>,
-    acc: &mut CheckedAccum,
+    acc: &mut A,
     rec: &mut R,
 ) {
     for &w in segment {
@@ -150,36 +185,46 @@ fn replay_segment_checked<R: Recorder>(
         rec.incr(Counter::SpaScatters, segment.len() as u64);
         rec.incr(Counter::AccumEntries, spa.touched_len() as u64);
     }
-    for (_, cnt) in spa.entries() {
-        acc.add(choose2(cnt));
-    }
-    spa.clear();
+    drain_pairs(spa, acc);
 }
 
 /// Process one bucket of rank-ordered starts: materialise the flat wedge
-/// batch, then replay it segment by segment through `spa`.
-fn process_bucket<R: Recorder>(
+/// batch, then replay it segment by segment through `spa`. The deadline
+/// is polled every [`DEADLINE_STRIDE`] starts during materialisation; on
+/// expiry the bucket replays what it materialised and returns `false`,
+/// so `acc` still gains the exact sum over the starts fully processed.
+#[allow(clippy::too_many_arguments)]
+fn process_bucket<R: Recorder, A: Accum>(
     g: &BipartiteGraph,
     ranks: &PriorityRanks,
     starts: &[usize],
     spa: &mut Spa<u64>,
     batch: &mut Vec<u32>,
     segs: &mut Vec<usize>,
+    acc: &mut A,
+    deadline: Option<Instant>,
     rec: &mut R,
-) -> u64 {
+) -> bool {
     batch.clear();
     segs.clear();
-    for &s in starts {
-        materialise_start(g, ranks, s, batch, rec);
+    let sides = Starts::both(g, ranks);
+    let mut complete = true;
+    for (done, &s) in starts.iter().enumerate() {
+        if let Some(d) = deadline {
+            if done % DEADLINE_STRIDE == DEADLINE_STRIDE - 1 && Instant::now() >= d {
+                complete = false;
+                break;
+            }
+        }
+        materialise_start(&sides, g.nv1(), s, batch, rec);
         segs.push(batch.len());
     }
-    let mut total = 0u64;
     let mut lo = 0usize;
     for &hi in segs.iter() {
-        total += replay_segment(&batch[lo..hi], spa, rec);
+        replay_segment(&batch[lo..hi], spa, acc, rec);
         lo = hi;
     }
-    total
+    complete
 }
 
 /// Count the butterflies of `g` by ranked wedge aggregation
@@ -192,31 +237,11 @@ pub fn count_ranked(g: &BipartiteGraph) -> u64 {
 /// the ordering sort, a `ranked_buckets` gauge, and a `"count"` phase
 /// through `rec`.
 pub fn count_ranked_recorded<R: Recorder>(g: &BipartiteGraph, rec: &mut R) -> u64 {
-    let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
-    let order = starts_by_rank(g, &ranks);
-    let weights_by_start = priority_start_weights(g, &ranks);
-    let weights: Vec<u64> = order.iter().map(|&s| weights_by_start[s]).collect();
-    let bounds = bucket_bounds(&weights, 1);
-    if R::ENABLED {
-        rec.gauge("ranked_buckets", (bounds.len() - 1) as f64);
-    }
-    let mut spa = Spa::<u64>::new(g.nv1().max(g.nv2()));
-    let mut batch = Vec::new();
-    let mut segs = Vec::new();
+    let buckets = Buckets::plan(g, 1, rec);
     timed_phase(rec, "count", |rec| {
         timed_span(rec, "count_ranked", |rec| {
             let mut total = 0u64;
-            for w in bounds.windows(2) {
-                total += process_bucket(
-                    g,
-                    &ranks,
-                    &order[w[0]..w[1]],
-                    &mut spa,
-                    &mut batch,
-                    &mut segs,
-                    rec,
-                );
-            }
+            buckets.count_seq(g, &mut total, None, rec);
             total
         })
     })
@@ -231,7 +256,7 @@ pub fn count_ranked_parallel(g: &BipartiteGraph, nchunks: usize) -> u64 {
 }
 
 /// Instrumented [`count_ranked_parallel`]: the family's parallel event
-/// stream (per-worker [`ThreadTrace`]s with `chunk` spans, `chunk_us`
+/// stream from [`run_chunks`] (one `chunk` span per bucket, `chunk_us`
 /// histogram, `par_chunk_wedges` series, `par_imbalance` gauge) inside a
 /// `count_parallel` phase.
 pub fn count_ranked_parallel_recorded<R: Recorder>(
@@ -239,184 +264,38 @@ pub fn count_ranked_parallel_recorded<R: Recorder>(
     nchunks: usize,
     rec: &mut R,
 ) -> u64 {
-    let ranks = timed_span(rec, "priority_rank", |_| PriorityRanks::compute(g));
-    let order = starts_by_rank(g, &ranks);
-    let weights_by_start = priority_start_weights(g, &ranks);
-    let weights: Vec<u64> = order.iter().map(|&s| weights_by_start[s]).collect();
-    let bounds = bucket_bounds(&weights, nchunks.max(1));
-    if R::ENABLED {
-        rec.gauge("ranked_buckets", (bounds.len() - 1) as f64);
-    }
-    let spa_len = g.nv1().max(g.nv2());
-    let buckets: Vec<&[usize]> = bounds
-        .windows(2)
-        .map(|w| &order[w[0]..w[1]])
-        .filter(|b| !b.is_empty())
-        .collect();
+    let buckets = Buckets::plan(g, nchunks, rec);
     timed_phase(rec, "count_parallel", |rec| {
-        if !R::ENABLED {
-            return buckets
-                .into_par_iter()
-                .map(|starts| {
-                    let mut spa = Spa::<u64>::new(spa_len);
-                    let mut batch = Vec::new();
-                    let mut segs = Vec::new();
-                    process_bucket(
-                        g,
-                        &ranks,
-                        starts,
-                        &mut spa,
-                        &mut batch,
-                        &mut segs,
-                        &mut NoopRecorder,
-                    )
-                })
-                .sum();
-        }
-        let per_bucket: Vec<(u64, ThreadTrace)> = buckets
-            .into_par_iter()
-            .map(|starts| {
-                let mut spa = Spa::<u64>::new(spa_len);
-                let mut batch = Vec::new();
-                let mut segs = Vec::new();
-                let mut trace = ThreadTrace::new();
-                let t0 = Instant::now();
-                trace.span_enter("chunk");
-                let sum = process_bucket(
-                    g, &ranks, starts, &mut spa, &mut batch, &mut segs, &mut trace,
-                );
-                trace.span_exit("chunk");
-                trace.hist_record("chunk_us", t0.elapsed().as_micros() as u64);
-                (sum, trace)
-            })
-            .collect();
-        rec.incr(Counter::ParChunks, per_bucket.len() as u64);
-        let nrun = per_bucket.len();
-        let mut total = 0u64;
-        let mut max_wedges = 0u64;
-        let mut sum_wedges = 0u64;
-        for (i, (sub, trace)) in per_bucket.into_iter().enumerate() {
-            total += sub;
-            let w = trace.tally().get(Counter::WedgesExpanded);
-            rec.series_push("par_chunk_wedges", w as f64);
-            max_wedges = max_wedges.max(w);
-            sum_wedges += w;
-            rec.merge_thread(i as u32 + 1, trace);
-        }
-        if nrun > 0 && sum_wedges > 0 {
-            let mean = sum_wedges as f64 / nrun as f64;
-            rec.gauge("par_imbalance", max_wedges as f64 / mean);
-        }
-        total
+        buckets.count_par::<R, u64>(g, None, rec).0
     })
 }
 
-/// Shared-hub [`count_ranked_parallel`]: workers record live into the
-/// concurrent [`MetricsHub`] (liveness over per-bucket attribution);
-/// totals are bitwise identical to the buffered path.
-pub fn count_ranked_shared(g: &BipartiteGraph, nchunks: usize, hub: &MetricsHub) -> u64 {
-    let mut rec: &MetricsHub = hub;
-    let ranks = timed_span(&mut rec, "priority_rank", |_| PriorityRanks::compute(g));
-    let order = starts_by_rank(g, &ranks);
-    let weights_by_start = priority_start_weights(g, &ranks);
-    let weights: Vec<u64> = order.iter().map(|&s| weights_by_start[s]).collect();
-    let bounds = bucket_bounds(&weights, nchunks.max(1));
-    rec.gauge("ranked_buckets", (bounds.len() - 1) as f64);
-    let spa_len = g.nv1().max(g.nv2());
-    let buckets: Vec<&[usize]> = bounds
-        .windows(2)
-        .map(|w| &order[w[0]..w[1]])
-        .filter(|b| !b.is_empty())
-        .collect();
-    let nrun = buckets.len();
-    timed_phase(&mut rec, "count_parallel", |_| {
-        let total: u64 = buckets
-            .into_par_iter()
-            .map(|starts| {
-                let mut spa = Spa::<u64>::new(spa_len);
-                let mut batch = Vec::new();
-                let mut segs = Vec::new();
-                let mut rec: &MetricsHub = hub;
-                let t0 = Instant::now();
-                hub.enter_span("chunk");
-                let sum =
-                    process_bucket(g, &ranks, starts, &mut spa, &mut batch, &mut segs, &mut rec);
-                hub.exit_span("chunk");
-                hub.record_hist("chunk_us", t0.elapsed().as_micros() as u64);
-                sum
-            })
-            .sum();
-        hub.incr(Counter::ParChunks, nrun as u64);
-        total
-    })
-}
-
-/// Overflow-checked, deadline-aware ranked count. The deadline is polled
-/// every [`DEADLINE_STRIDE`] starts during materialisation; on expiry
-/// the bucket truncates its batch to the last completed segment, replays
-/// what was materialised, and reports incomplete — so a truncated
-/// accumulator still holds the exact sum over the starts fully
-/// processed. Bucket partials merge in order via [`CheckedAccum::merge`].
-pub(crate) fn count_ranked_checked_deadline(
+/// Overflow-checked, deadline-aware ranked count with the same recording
+/// as the unchecked paths: sequential buckets when `nchunks <= 1`, else
+/// the parallel bucket runner. Each bucket polls the deadline as
+/// [`process_bucket`] describes, so a truncated accumulator still holds
+/// the exact sum over the starts fully processed. Bucket partials merge
+/// in order via [`CheckedAccum::merge`].
+pub(crate) fn count_ranked_checked_deadline<R: Recorder>(
     g: &BipartiteGraph,
     nchunks: usize,
     deadline: Option<Instant>,
+    rec: &mut R,
 ) -> crate::error::Result<(CheckedAccum, bool)> {
-    let ranks = PriorityRanks::compute(g);
-    let order = starts_by_rank(g, &ranks);
-    let weights_by_start = priority_start_weights(g, &ranks);
-    let weights: Vec<u64> = order.iter().map(|&s| weights_by_start[s]).collect();
-    let bounds = bucket_bounds(&weights, nchunks.max(1));
-    let spa_len = g.nv1().max(g.nv2());
-    let buckets: Vec<&[usize]> = bounds
-        .windows(2)
-        .map(|w| &order[w[0]..w[1]])
-        .filter(|b| !b.is_empty())
-        .collect();
-    let run_bucket = |starts: &[usize]| -> (CheckedAccum, bool) {
-        let mut spa = Spa::<u64>::new(spa_len);
+    let buckets = Buckets::plan(g, nchunks, rec);
+    if nchunks <= 1 {
         let mut acc = CheckedAccum::new();
-        let mut batch: Vec<u32> = Vec::new();
-        let mut segs: Vec<usize> = Vec::new();
-        let mut complete = true;
-        for (done, &s) in starts.iter().enumerate() {
-            if done % DEADLINE_STRIDE == DEADLINE_STRIDE - 1 {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        complete = false;
-                        break;
-                    }
-                }
-            }
-            materialise_start(g, &ranks, s, &mut batch, &mut NoopRecorder);
-            segs.push(batch.len());
-        }
-        let mut lo = 0usize;
-        for &hi in &segs {
-            replay_segment_checked(&batch[lo..hi], &mut spa, &mut acc, &mut NoopRecorder);
-            lo = hi;
-        }
-        (acc, complete)
-    };
-    let partials: Vec<(CheckedAccum, bool)> = if nchunks <= 1 {
-        buckets.iter().map(|&b| run_bucket(b)).collect()
-    } else {
-        buckets.into_par_iter().map(run_bucket).collect()
-    };
-    let mut total = CheckedAccum::new();
-    let mut complete = true;
-    for (p, c) in partials {
-        total.merge(p);
-        complete &= c;
+        let complete = buckets.count_seq(g, &mut acc, deadline, rec);
+        return Ok((acc, complete));
     }
-    Ok((total, complete))
+    Ok(buckets.count_par(g, deadline, rec))
 }
 
 /// Fallible [`count_ranked`]: validates the graph up front and runs the
 /// overflow-checked kernel.
 pub fn try_count_ranked(g: &BipartiteGraph) -> crate::error::Result<u64> {
     crate::error::validate_graph(g)?;
-    let (acc, _complete) = count_ranked_checked_deadline(g, 1, None)?;
+    let (acc, _complete) = count_ranked_checked_deadline(g, 1, None, &mut NoopRecorder)?;
     acc.finish()
         .map_err(|partial| crate::error::BflyError::CountOverflow {
             partial,
@@ -427,7 +306,8 @@ pub fn try_count_ranked(g: &BipartiteGraph) -> crate::error::Result<u64> {
 /// Fallible deterministic-parallel [`count_ranked_parallel`].
 pub fn try_count_ranked_parallel(g: &BipartiteGraph, nchunks: usize) -> crate::error::Result<u64> {
     crate::error::validate_graph(g)?;
-    let (acc, _complete) = count_ranked_checked_deadline(g, nchunks.max(2), None)?;
+    let (acc, _complete) =
+        count_ranked_checked_deadline(g, nchunks.max(2), None, &mut NoopRecorder)?;
     acc.finish()
         .map_err(|partial| crate::error::BflyError::CountOverflow {
             partial,
@@ -506,11 +386,12 @@ mod tests {
     }
 
     #[test]
-    fn shared_hub_matches_buffered() {
+    fn hub_recorder_matches_buffered() {
         let mut rng = StdRng::seed_from_u64(5002);
         let g = uniform_exact(60, 40, 320, &mut rng);
-        let hub = MetricsHub::new();
-        assert_eq!(count_ranked_shared(&g, 4, &hub), count_via_spgemm(&g));
+        let hub = bfly_telemetry::MetricsHub::new();
+        let got = count_ranked_parallel_recorded(&g, 4, &mut &hub);
+        assert_eq!(got, count_via_spgemm(&g));
         assert_eq!(
             hub.snapshot().counter(Counter::WedgesExpanded),
             priority_wedge_work(&g)

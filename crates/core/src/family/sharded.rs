@@ -32,9 +32,7 @@
 //! `shards_planned` / `shard_bytes` gauges, a `shard_wedges` series (the
 //! per-shard forecast), and the `shards_processed` counter.
 
-use super::engine::{
-    update_for_vertex_checked_recorded, update_for_vertex_recorded, DEADLINE_STRIDE,
-};
+use super::engine::{update_for_vertex, update_vertices, DEADLINE_STRIDE};
 use super::parallel::{balanced_chunk_bounds, wedge_weights};
 use super::{
     count_priority_checked_deadline, count_ranked_checked_deadline, Invariant, PartFilter,
@@ -83,14 +81,17 @@ pub fn count_sharded_recorded<R: Recorder>(
     for &(lo, hi) in ordered(&plan.ranges, inv.traversal()) {
         total += timed_span(rec, "shard", |rec| {
             let mut sum = 0u64;
-            let mut each = |k: usize, spa: &mut Spa<u64>, rec: &mut R| {
-                sum +=
-                    update_for_vertex_recorded(part_adj, other_adj, inv.update_part(), k, spa, rec);
-            };
+            let (filter, spa) = (inv.update_part(), &mut spa);
             match inv.traversal() {
-                Traversal::Forward => (lo..hi).for_each(|k| each(k, &mut spa, rec)),
-                Traversal::Backward => (lo..hi).rev().for_each(|k| each(k, &mut spa, rec)),
-            }
+                Traversal::Forward => {
+                    let ks = lo..hi;
+                    update_vertices(part_adj, other_adj, filter, ks, spa, &mut sum, None, rec)
+                }
+                Traversal::Backward => {
+                    let ks = (lo..hi).rev();
+                    update_vertices(part_adj, other_adj, filter, ks, spa, &mut sum, None, rec)
+                }
+            };
             sum
         });
         finish_shard(&plan, lo, hi, rec);
@@ -137,7 +138,7 @@ pub(crate) fn count_sharded_member_checked_recorded<R: Recorder>(
             if R::ENABLED {
                 rec.gauge("shards_planned", nshards.max(1) as f64);
             }
-            let r = count_priority_checked_deadline(g, nshards.max(1), deadline)?;
+            let r = count_priority_checked_deadline(g, nshards.max(1), deadline, rec)?;
             rec.incr(Counter::ShardsProcessed, nshards.max(1) as u64);
             Ok(r)
         }
@@ -145,7 +146,7 @@ pub(crate) fn count_sharded_member_checked_recorded<R: Recorder>(
             if R::ENABLED {
                 rec.gauge("shards_planned", nshards.max(1) as f64);
             }
-            let r = count_ranked_checked_deadline(g, nshards.max(1), deadline)?;
+            let r = count_ranked_checked_deadline(g, nshards.max(1), deadline, rec)?;
             rec.incr(Counter::ShardsProcessed, nshards.max(1) as u64);
             Ok(r)
         }
@@ -202,7 +203,7 @@ pub(crate) fn count_sharded_partitioned_checked_recorded<R: Recorder>(
                         }
                     }
                 }
-                update_for_vertex_checked_recorded(part_adj, other_adj, filter, k, spa, sa, rec);
+                update_for_vertex(part_adj, other_adj, filter, k, spa, sa, rec);
                 true
             };
             match traversal {

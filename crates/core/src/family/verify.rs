@@ -19,6 +19,7 @@ use super::Invariant;
 use crate::partitioned::count_categories;
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::Spa;
+use bfly_telemetry::NoopRecorder;
 
 /// The invariant's specified value when `processed` vertices of the
 /// partitioned side have been consumed by the given invariant's loop.
@@ -86,7 +87,15 @@ pub fn verify_loop_invariant(g: &BipartiteGraph, inv: Invariant) -> Result<u64, 
         Traversal::Backward => Box::new((0..n).rev()),
     };
     for (step, k) in order.enumerate() {
-        acc += update_for_vertex(part_adj, other_adj, inv.update_part(), k, &mut spa);
+        update_for_vertex(
+            part_adj,
+            other_adj,
+            inv.update_part(),
+            k,
+            &mut spa,
+            &mut acc,
+            &mut NoopRecorder,
+        );
         let processed = step + 1;
         let want = invariant_specified_value(g, inv, processed);
         if acc != want {
@@ -199,7 +208,16 @@ mod tests {
         let at = g.biadjacency_t();
         let a = g.biadjacency();
         let mut spa = Spa::<u64>::new(g.nv2());
-        let wrong_first = update_for_vertex(at, a, PartFilter::After, 0, &mut spa);
+        let mut wrong_first = 0u64;
+        update_for_vertex(
+            at,
+            a,
+            PartFilter::After,
+            0,
+            &mut spa,
+            &mut wrong_first,
+            &mut NoopRecorder,
+        );
         let specified = invariant_specified_value(&g, Invariant::Inv1, 1);
         assert_ne!(
             wrong_first, specified,

@@ -84,9 +84,8 @@ pub use enumerate::{count_by_enumeration, enumerate_butterflies, for_each_butter
 pub use error::{validate_graph, BflyError};
 pub use family::{
     count, count_auto, count_auto_recorded, count_parallel, count_parallel_recorded,
-    count_parallel_shared, count_parallel_with_threads, count_parallel_with_threads_recorded,
-    count_priority, count_priority_parallel, count_priority_shared, count_ranked,
-    count_ranked_parallel, count_ranked_shared, count_recorded, count_segmented,
+    count_parallel_with_threads, count_parallel_with_threads_recorded, count_priority,
+    count_priority_parallel, count_ranked, count_ranked_parallel, count_recorded, count_segmented,
     count_segmented_budgeted_recorded, count_segmented_checkpointed_recorded,
     count_segmented_sharded_recorded, count_sharded, count_sharded_recorded, priority_wedge_work,
     segmented_profile, segmented_wedge_weights, try_count, try_count_priority,

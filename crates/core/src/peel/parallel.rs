@@ -39,7 +39,7 @@ use crate::edge_support::{edge_supports, edge_supports_parallel};
 use crate::vertex_counts::{butterflies_per_vertex, butterflies_per_vertex_parallel};
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::{choose2, Spa};
-use bfly_telemetry::{Counter, MetricsHub, NoopRecorder, Recorder, ThreadTrace};
+use bfly_telemetry::{Counter, NoopRecorder, Recorder, ThreadTrace};
 use rayon::prelude::*;
 
 /// Smallest frontier worth chunking across workers: below this the
@@ -234,21 +234,6 @@ pub fn tip_numbers_with_chunks<R: Recorder>(
     tip_peel_run(g, side, chunks, init, None, rec).0
 }
 
-/// [`tip_numbers_with_chunks`] recording live into a shared
-/// [`MetricsHub`]: round counters, `peel_round` span aggregates, and the
-/// per-round histograms land in the hub as the peel progresses, so a
-/// concurrent scrape or stream sees the decomposition advance
-/// round-by-round instead of all at once after the merge.
-pub fn tip_numbers_shared(
-    g: &BipartiteGraph,
-    side: Side,
-    chunks: usize,
-    hub: &MetricsHub,
-) -> Vec<u64> {
-    let mut rec: &MetricsHub = hub;
-    tip_numbers_with_chunks(g, side, chunks, &mut rec)
-}
-
 /// Shared tip-peeling run: bucket engine over precomputed initial counts
 /// with an optional round-boundary deadline.
 fn tip_peel_run<R: Recorder>(
@@ -298,13 +283,6 @@ pub fn wing_numbers_with_chunks<R: Recorder>(
         edge_supports(g)
     };
     wing_peel_run(g, chunks, init, None, rec).0
-}
-
-/// [`wing_numbers_with_chunks`] recording live into a shared
-/// [`MetricsHub`]; same liveness contract as [`tip_numbers_shared`].
-pub fn wing_numbers_shared(g: &BipartiteGraph, chunks: usize, hub: &MetricsHub) -> Vec<u64> {
-    let mut rec: &MetricsHub = hub;
-    wing_numbers_with_chunks(g, chunks, &mut rec)
 }
 
 /// Shared wing-peeling run: bucket engine over precomputed initial

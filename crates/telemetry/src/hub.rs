@@ -362,8 +362,18 @@ impl MetricsHub {
 /// The `Recorder` face of the hub: implemented on `&MetricsHub` (not
 /// `MetricsHub`) so instrumented APIs taking `&mut R` can be handed
 /// `&mut &hub` while other threads hold their own borrows.
-impl Recorder for &MetricsHub {
+impl<'a> Recorder for &'a MetricsHub {
     const ENABLED: bool = true;
+    /// Workers record straight into the hub: nothing is buffered, so a
+    /// concurrent [`MetricsHub::snapshot`] sees every chunk's counters
+    /// as they land, and there is nothing left to merge at the join.
+    type Worker = &'a MetricsHub;
+
+    fn worker(&self) -> &'a MetricsHub {
+        self
+    }
+
+    fn join_worker(&mut self, _track: u32, _worker: &'a MetricsHub) {}
 
     #[inline]
     fn incr(&mut self, c: Counter, n: u64) {

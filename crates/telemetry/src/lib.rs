@@ -233,13 +233,27 @@ impl WorkTally {
     }
 }
 
-/// Instrumentation sink. All methods have empty defaults so a recorder
+/// Instrumentation sink. Every method but the worker hook (`Worker`,
+/// `worker`, `join_worker`) has an empty default, so a recorder
 /// implements only what it stores; hot paths must guard every call site
 /// with `if R::ENABLED` so the noop case folds away entirely.
 pub trait Recorder {
     /// `false` promises every method is a no-op; instrumentation sites
     /// compile out under that promise.
     const ENABLED: bool;
+
+    /// What one parallel worker records a chunk into: a private buffer
+    /// for the buffering recorders, the recorder itself for the shared
+    /// [`MetricsHub`] (so worker counters are visible while the chunk
+    /// runs), and [`NoopRecorder`] when recording is off.
+    type Worker: Recorder + Send;
+
+    /// A fresh worker recorder for one chunk.
+    fn worker(&self) -> Self::Worker;
+
+    /// Take a chunk's worker back after the join. `track` is the chunk's
+    /// span track: 0 is the caller's own, so chunks are numbered from 1.
+    fn join_worker(&mut self, track: u32, worker: Self::Worker);
 
     /// Add `n` to counter `c`.
     #[inline]
@@ -312,6 +326,15 @@ pub trait Recorder {
 /// run the same instrumented code paths and be merged afterwards.
 impl Recorder for WorkTally {
     const ENABLED: bool = true;
+    type Worker = WorkTally;
+
+    fn worker(&self) -> WorkTally {
+        WorkTally::new()
+    }
+
+    fn join_worker(&mut self, _track: u32, worker: WorkTally) {
+        self.absorb(&worker);
+    }
 
     #[inline]
     fn incr(&mut self, c: Counter, n: u64) {
@@ -331,12 +354,32 @@ pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {
     const ENABLED: bool = false;
+    type Worker = NoopRecorder;
+
+    #[inline]
+    fn worker(&self) -> NoopRecorder {
+        NoopRecorder
+    }
+
+    #[inline]
+    fn join_worker(&mut self, _track: u32, _worker: NoopRecorder) {}
 }
 
 /// Forwarding impl so an `InMemoryRecorder` can be threaded through APIs
 /// that take the recorder by value (`&mut R` is itself a `Recorder`).
 impl<R: Recorder> Recorder for &mut R {
     const ENABLED: bool = R::ENABLED;
+    type Worker = R::Worker;
+
+    #[inline]
+    fn worker(&self) -> R::Worker {
+        (**self).worker()
+    }
+
+    #[inline]
+    fn join_worker(&mut self, track: u32, worker: R::Worker) {
+        (**self).join_worker(track, worker);
+    }
 
     #[inline]
     fn incr(&mut self, c: Counter, n: u64) {
@@ -537,6 +580,15 @@ impl InMemoryRecorder {
 
 impl Recorder for InMemoryRecorder {
     const ENABLED: bool = true;
+    type Worker = ThreadTrace;
+
+    fn worker(&self) -> ThreadTrace {
+        ThreadTrace::new()
+    }
+
+    fn join_worker(&mut self, track: u32, worker: ThreadTrace) {
+        self.merge_thread(track, worker);
+    }
 
     #[inline]
     fn incr(&mut self, c: Counter, n: u64) {

@@ -715,7 +715,7 @@ mod tests {
     #[test]
     fn monitor_emits_heartbeats_with_shared_monotonic_seq() {
         let buf = Buf::default();
-        let sink = NdjsonSink::from_writer(Box::new(buf.clone())).into_shared();
+        let sink = NdjsonSink::from_writer(Box::new(buf.clone())).into_shared_sink();
         let hub = Arc::new(MetricsHub::new());
         let mut rec = StreamRecorder::new().with_shared_sink(sink.clone());
         let monitor = Monitor::spawn(
@@ -776,7 +776,7 @@ mod tests {
     #[test]
     fn monitor_detects_a_stall_exactly_once_per_window() {
         let buf = Buf::default();
-        let sink = NdjsonSink::from_writer(Box::new(buf.clone())).into_shared();
+        let sink = NdjsonSink::from_writer(Box::new(buf.clone())).into_shared_sink();
         let hub = Arc::new(MetricsHub::new());
         let monitor = Monitor::spawn(
             Arc::clone(&hub),

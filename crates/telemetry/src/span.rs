@@ -157,6 +157,15 @@ impl ThreadTrace {
 
 impl Recorder for ThreadTrace {
     const ENABLED: bool = true;
+    type Worker = WorkTally;
+
+    fn worker(&self) -> WorkTally {
+        WorkTally::new()
+    }
+
+    fn join_worker(&mut self, _track: u32, worker: WorkTally) {
+        self.tally.absorb(&worker);
+    }
 
     #[inline]
     fn incr(&mut self, c: Counter, n: u64) {

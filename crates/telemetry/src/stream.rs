@@ -113,7 +113,7 @@ impl NdjsonSink {
     /// Wrap this sink so several producers (the recorder on the main
     /// thread, a monitor thread emitting heartbeats) can interleave
     /// events under one monotonic `seq`.
-    pub fn into_shared(self) -> SharedSink {
+    pub fn into_shared_sink(self) -> SharedSink {
         SharedSink::new(self)
     }
 }
@@ -201,7 +201,7 @@ impl StreamRecorder {
 
     /// Attach a sink; emits the `run_start` line.
     pub fn with_sink(self, sink: NdjsonSink) -> Self {
-        self.with_shared_sink(sink.into_shared())
+        self.with_shared_sink(sink.into_shared_sink())
     }
 
     /// Attach an already-shared sink (e.g. one a monitor thread also
@@ -305,6 +305,15 @@ impl StreamRecorder {
 
 impl Recorder for StreamRecorder {
     const ENABLED: bool = true;
+    type Worker = ThreadTrace;
+
+    fn worker(&self) -> ThreadTrace {
+        ThreadTrace::new()
+    }
+
+    fn join_worker(&mut self, track: u32, worker: ThreadTrace) {
+        self.merge_thread(track, worker);
+    }
 
     #[inline]
     fn incr(&mut self, c: Counter, n: u64) {

@@ -11,7 +11,7 @@ use bfly::core::adaptive::{
     count_adaptive, count_adaptive_parallel, execute_plan, select_plan, ExecMode, GraphProfile,
     Member, Plan,
 };
-use bfly::core::baseline::{count_hash_aggregation, count_vertex_priority};
+use bfly::core::baseline::count_hash_aggregation;
 use bfly::core::family::{count_priority, count_ranked};
 use bfly::core::testkit::{arb_family_graph, fixture_battery};
 use bfly::core::{count, count_brute_force, count_via_spgemm, Invariant};
@@ -25,7 +25,7 @@ fn assert_adaptive_agrees(g: &BipartiteGraph, label: &str) {
     let want = count_brute_force(g);
     assert_eq!(count_via_spgemm(g), want, "{label}: spgemm");
     assert_eq!(count_hash_aggregation(g), want, "{label}: hash baseline");
-    assert_eq!(count_vertex_priority(g), want, "{label}: vertex priority");
+    assert_eq!(count_priority(g), want, "{label}: vertex priority");
     assert_eq!(count_priority(g), want, "{label}: priority kernel");
     assert_eq!(count_ranked(g), want, "{label}: ranked kernel");
     for inv in Invariant::ALL {

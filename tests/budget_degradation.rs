@@ -171,3 +171,49 @@ fn pair_matrix_streaming_fallback_is_exact() {
         }
     }
 }
+
+/// The budgeted (overflow-checked, deadline-aware) executor must report
+/// the same kernel work counters as the unchecked executor for the same
+/// plan: every member, sequential and parallel.
+#[test]
+fn checked_execution_reports_the_unchecked_kernel_counters() {
+    use bfly::core::adaptive::{execute_plan_checked_recorded, execute_plan_recorded};
+    use bfly::core::telemetry::Counter;
+    use bfly::core::{select_plan, ExecMode, Member, Plan};
+    let kernel = [
+        Counter::WedgesExpanded,
+        Counter::VerticesExposed,
+        Counter::SpaScatters,
+        Counter::AccumEntries,
+    ];
+    for (name, g) in fixture_battery() {
+        let base = select_plan(&GraphProfile::compute(&g), false, 1);
+        for member in [
+            Member::Fixed(base.invariant),
+            Member::Priority,
+            Member::Ranked,
+        ] {
+            for mode in [ExecMode::Flat, ExecMode::Parallel { chunks: 2 }] {
+                let plan = Plan {
+                    member,
+                    mode,
+                    ..base.clone()
+                };
+                let mut want = InMemoryRecorder::new();
+                let xi = execute_plan_recorded(&g, &plan, &mut want);
+                let mut got = InMemoryRecorder::new();
+                let r = execute_plan_checked_recorded(&g, &plan, None, &mut got).unwrap();
+                assert!(r.complete, "{name} {member:?} {mode:?}");
+                assert_eq!(r.value, xi, "{name} {member:?} {mode:?}");
+                for c in kernel {
+                    assert_eq!(
+                        got.counter(c),
+                        want.counter(c),
+                        "{name} {member:?} {mode:?}: {}",
+                        c.name()
+                    );
+                }
+            }
+        }
+    }
+}

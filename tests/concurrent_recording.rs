@@ -11,7 +11,7 @@ use bfly::core::telemetry::{
     parse_exposition, to_openmetrics, validate_exposition, Counter, InMemoryRecorder, Json,
     MetricsHub,
 };
-use bfly::core::{count_parallel_recorded, count_parallel_shared, count_recorded, Invariant};
+use bfly::core::{count_parallel_recorded, count_recorded, Invariant};
 use bfly::graph::generators::{chung_lu, uniform_exact};
 use bfly::graph::BipartiteGraph;
 use rand::rngs::StdRng;
@@ -119,7 +119,7 @@ fn shared_hub_counter_totals_equal_sequential_for_all_invariants() {
                     .build()
                     .unwrap();
                 let hub = MetricsHub::new();
-                let par_xi = pool.install(|| count_parallel_shared(&g, inv, &hub));
+                let par_xi = pool.install(|| count_parallel_recorded(&g, inv, &mut &hub));
                 assert_eq!(par_xi, seq_xi, "{inv} with {threads} threads: count");
                 let snap = hub.snapshot();
                 for &(c, want) in seq_tally.iter().filter(|(c, _)| comparable(*c)) {
@@ -177,7 +177,7 @@ fn hub_snapshot_openmetrics_round_trip() {
         .num_threads(4)
         .build()
         .unwrap();
-    pool.install(|| count_parallel_shared(&g, Invariant::Inv2, &hub));
+    pool.install(|| count_parallel_recorded(&g, Invariant::Inv2, &mut &hub));
     let snap = hub.snapshot();
     let rep = snap.to_report(vec![(
         "command".to_string(),

@@ -5,7 +5,7 @@
 //! on the same graph, across a spread of generator regimes and edge cases.
 
 use bfly::core::adaptive::{count_adaptive, count_adaptive_parallel};
-use bfly::core::baseline::{count_hash_aggregation, count_vertex_priority};
+use bfly::core::baseline::count_hash_aggregation;
 use bfly::core::edge_support::edge_supports;
 use bfly::core::family::{
     butterflies_per_vertex_priority, count_blocked, count_priority, count_priority_parallel,
@@ -43,7 +43,7 @@ fn assert_all_agree(g: &BipartiteGraph, label: &str) {
         );
     }
     assert_eq!(count_hash_aggregation(g), want, "{label}: hash baseline");
-    assert_eq!(count_vertex_priority(g), want, "{label}: vertex priority");
+    assert_eq!(count_priority(g), want, "{label}: vertex priority");
     // Global-order kernels: totals sequential and at 1/2/4 chunks…
     assert_eq!(count_priority(g), want, "{label}: priority sequential");
     assert_eq!(count_ranked(g), want, "{label}: ranked sequential");

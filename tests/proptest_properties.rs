@@ -5,12 +5,12 @@
 //! identities the paper's derivation rests on, checked end to end on the
 //! real implementations.
 
-use bfly::core::baseline::{count_hash_aggregation, count_vertex_priority};
+use bfly::core::baseline::count_hash_aggregation;
 use bfly::core::edge_support::{edge_supports, total_from_supports};
 use bfly::core::peel::{k_tip, k_wing};
 use bfly::core::testkit::{arb_graph, MAX_SIDE};
 use bfly::core::vertex_counts::{butterflies_per_vertex, butterflies_per_vertex_algebraic};
-use bfly::core::{count, count_brute_force, count_via_spgemm, Invariant};
+use bfly::core::{count, count_brute_force, count_priority, count_via_spgemm, Invariant};
 use bfly::graph::{BipartiteGraph, Side};
 use proptest::prelude::*;
 
@@ -32,7 +32,7 @@ proptest! {
         let want = count_brute_force(&g);
         prop_assert_eq!(count_via_spgemm(&g), want);
         prop_assert_eq!(count_hash_aggregation(&g), want);
-        prop_assert_eq!(count_vertex_priority(&g), want);
+        prop_assert_eq!(count_priority(&g), want);
     }
 
     /// Ξ(A) = Ξ(Aᵀ): the count cannot depend on which side is called V1.

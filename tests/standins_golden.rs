@@ -7,7 +7,7 @@
 //! butterfly counts at a fixed small scale (0.02), cross-checked through
 //! two different counting paths.
 
-use bfly::core::baseline::count_vertex_priority;
+use bfly::core::family::count_priority;
 use bfly::core::{count, Invariant};
 use bfly::graph::StandIn;
 
@@ -30,7 +30,7 @@ fn stand_in_generation_is_pinned() {
         assert_eq!(g.nedges(), e, "{d:?} |E|");
         let got = count(&g, Invariant::Inv2);
         assert_eq!(got, xi, "{d:?} butterfly count drifted");
-        assert_eq!(count_vertex_priority(&g), xi, "{d:?} cross-check");
+        assert_eq!(count_priority(&g), xi, "{d:?} cross-check");
     }
 }
 
