@@ -174,6 +174,22 @@ pub fn edge_supports_masked_spgemm(g: &BipartiteGraph) -> Vec<u64> {
     out
 }
 
+/// Edge id (row-major position in `A`) of every entry of `Aᵀ`, in `Aᵀ`'s
+/// own CSR order: `ids[at.ptr()[v] + k]` is the edge joining `v` to
+/// `at.row(v)[k]`. One `O(E)` pass — `A`'s rows are visited in ascending
+/// `u`, which is exactly the order each `Aᵀ` row lists them in.
+pub fn csc_edge_ids(g: &BipartiteGraph) -> Vec<u32> {
+    let a = g.biadjacency();
+    let mut next: Vec<usize> = g.biadjacency_t().ptr()[..g.nv2()].to_vec();
+    let mut ids = vec![0u32; g.nedges()];
+    for (e, &v) in a.indices().iter().enumerate() {
+        let slot = &mut next[v as usize];
+        ids[*slot] = e as u32;
+        *slot += 1;
+    }
+    ids
+}
+
 /// Shape the supports as a CSR matrix with exactly the pattern of `A`
 /// (the `S_w` of eq. 25).
 pub fn support_matrix(g: &BipartiteGraph, supports: &[u64]) -> CsrMatrix<u64> {

@@ -29,6 +29,7 @@
 
 use super::engine::{drain_pairs, Accum, DEADLINE_STRIDE};
 use super::parallel::{balanced_chunk_bounds, merge_chunks, run_chunks};
+use crate::edge_support::csc_edge_ids;
 use bfly_graph::ordering::global_degree_ranks;
 use bfly_graph::BipartiteGraph;
 use bfly_sparse::{choose2, CheckedAccum, Pattern, Spa};
@@ -131,14 +132,24 @@ impl<'a> Starts<'a> {
     /// one wedge-selection rule every priority-order kernel shares.
     #[inline]
     pub(super) fn for_each_wedge(&self, u: usize, mut f: impl FnMut(u32, u32)) {
+        self.for_each_wedge_at(u, |j, w, _, _| f(j, w));
+    }
+
+    /// [`Self::for_each_wedge`] also passing the wedge's two entry
+    /// positions: `f(j, w, p, q)` with `p` the position of `j` in
+    /// `adj`'s index array and `q` that of `w` in `adj_mid`'s.
+    #[inline]
+    fn for_each_wedge_at(&self, u: usize, mut f: impl FnMut(u32, u32, usize, usize)) {
         let ru = self.rank[u];
-        for &j in self.adj.row(u) {
+        let base = self.adj.ptr()[u];
+        for (k, &j) in self.adj.row(u).iter().enumerate() {
             if self.rank_mid[j as usize] <= ru {
                 continue;
             }
-            for &w in self.adj_mid.row(j as usize) {
+            let mid_base = self.adj_mid.ptr()[j as usize];
+            for (l, &w) in self.adj_mid.row(j as usize).iter().enumerate() {
                 if w as usize != u && self.rank[w as usize] > ru {
-                    f(j, w);
+                    f(j, w, base + k, mid_base + l);
                 }
             }
         }
@@ -428,43 +439,45 @@ fn charge_vertices(
 /// edges `(u, j)` and `(w, j)` with the `cnt[w] − 1` butterflies closing
 /// it — every butterfly lands on all four of its edges exactly once.
 pub fn edge_supports_priority(g: &BipartiteGraph) -> Vec<u64> {
+    edge_supports_priority_with(g, &csc_edge_ids(g))
+}
+
+/// [`edge_supports_priority`] reusing an already-built
+/// [`csc_edge_ids`] map. Every wedge edge id is O(1): an entry of `A`
+/// is its own edge id, an entry of `Aᵀ` maps through `csc_ids`.
+pub(crate) fn edge_supports_priority_with(g: &BipartiteGraph, csc_ids: &[u32]) -> Vec<u64> {
     let ranks = PriorityRanks::compute(g);
     let [v1, v2] = Starts::both(g, &ranks);
-    let a = g.biadjacency();
-    let ptr = a.ptr();
     let mut out = vec![0u64; g.nedges()];
     let mut spa = Spa::<u64>::new(g.nv1().max(g.nv2()));
-    // Edge index of (u ∈ V1, v ∈ V2): CSR offset of u plus the position
-    // of v in u's sorted row.
-    let edge_index = |u: u32, v: u32| -> usize {
-        let pos = a.row(u as usize).binary_search(&v).expect("edge exists");
-        ptr[u as usize] + pos
-    };
-    // A wedge's edges join each endpoint to the centre: (endpoint, centre)
-    // for V1 starts, (centre, endpoint) for V2 starts.
+    // V1 starts walk A then Aᵀ; V2 starts walk Aᵀ then A.
+    let csr = |p: usize| p;
+    let csc = |p: usize| csc_ids[p] as usize;
     for u in 0..g.nv1() {
-        support_edges(&v1, u, &mut spa, &mut out, edge_index);
+        support_edges(&v1, u, &mut spa, &mut out, csr, csc);
     }
     for v in 0..g.nv2() {
-        support_edges(&v2, v, &mut spa, &mut out, |s, j| edge_index(j, s));
+        support_edges(&v2, v, &mut spa, &mut out, csc, csr);
     }
     out
 }
 
-/// One start's share of [`edge_supports_priority`]; `edge(s, j)` is the
-/// index of the edge joining wedge endpoint `s` to centre `j`.
+/// One start's share of [`edge_supports_priority`]: `start_edge` maps a
+/// position in the start's adjacency to its edge id, `mid_edge` a
+/// position in the centre's adjacency.
 fn support_edges(
     side: &Starts,
     u: usize,
     spa: &mut Spa<u64>,
     out: &mut [u64],
-    edge: impl Fn(u32, u32) -> usize,
+    start_edge: impl Fn(usize) -> usize,
+    mid_edge: impl Fn(usize) -> usize,
 ) {
     side.for_each_wedge(u, |_, w| spa.scatter(w, 1));
-    side.for_each_wedge(u, |j, w| {
+    side.for_each_wedge_at(u, |_, w, p, q| {
         let closures = spa.get(w) - 1;
-        out[edge(u as u32, j)] += closures;
-        out[edge(w, j)] += closures;
+        out[start_edge(p)] += closures;
+        out[mid_edge(q)] += closures;
     });
     spa.clear();
 }

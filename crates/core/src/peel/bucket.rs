@@ -33,7 +33,8 @@ pub struct BucketQueue {
     /// Next open bucket to scan; never retreats within a window.
     cursor: usize,
     buckets: Vec<Vec<u32>>,
-    /// Items whose score at push time was `>= base + WINDOW`.
+    /// Items scored `>= base + WINDOW` when placed; each is re-placed by
+    /// its *current* score at the next rebucket.
     overflow: Vec<u32>,
 }
 
@@ -60,17 +61,27 @@ impl BucketQueue {
         }
     }
 
+    /// Lower an item's score from `old` to `new`. Only an in-window
+    /// `new` needs an entry: past the window, `old` was too, so the item
+    /// already holds an overflow entry, and a rebucket places it by its
+    /// current score. Overflow therefore never holds more than one entry
+    /// per item.
+    #[inline]
+    pub fn decrease(&mut self, item: u32, old: u64, new: u64) {
+        debug_assert!(new < old);
+        if new - self.base < WINDOW as u64 {
+            self.push(item, new);
+        }
+    }
+
     /// Shift the window: re-base at the minimum current score of the
-    /// live overflow items and redistribute them. Returns `false` when
-    /// nothing live remains.
+    /// live overflow items and redistribute them by their current scores.
+    /// Returns `false` when nothing live remains. (An item pushed past the
+    /// window twice would be placed twice; the duplicate entry is
+    /// harmless, as the first pop marks the item dead.)
     fn rebucket(&mut self, scores: &[u64], alive: &[bool]) -> bool {
         let mut pending = std::mem::take(&mut self.overflow);
         pending.retain(|&i| alive[i as usize]);
-        // Lazy entries can duplicate an item across pushes; dedup so a
-        // rebucket inserts each live item exactly once (sorting also
-        // makes the redistributed bucket order deterministic).
-        pending.sort_unstable();
-        pending.dedup();
         let Some(min) = pending.iter().map(|&i| scores[i as usize]).min() else {
             return false;
         };
@@ -126,47 +137,6 @@ impl Default for BucketQueue {
     }
 }
 
-/// O(1)-clear membership set over `0..n` (the [`bfly_sparse::Spa`]
-/// generation-stamp trick without values): marks the current round's
-/// peel frontier so the wing kernel can distinguish "removed this round"
-/// from "removed earlier".
-#[derive(Debug)]
-pub struct StampSet {
-    stamp: Vec<u32>,
-    generation: u32,
-}
-
-impl StampSet {
-    /// Empty set over the index range `0..n`.
-    pub fn new(n: usize) -> Self {
-        StampSet {
-            stamp: vec![0; n],
-            generation: 1,
-        }
-    }
-
-    /// Insert `i` (idempotent within a generation).
-    #[inline]
-    pub fn insert(&mut self, i: u32) {
-        self.stamp[i as usize] = self.generation;
-    }
-
-    /// Whether `i` is in the set this generation.
-    #[inline]
-    pub fn contains(&self, i: u32) -> bool {
-        self.stamp[i as usize] == self.generation
-    }
-
-    /// Remove everything in O(1) via a generation bump.
-    pub fn clear(&mut self) {
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            self.stamp.fill(0);
-            self.generation = 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,6 +187,29 @@ mod tests {
     }
 
     #[test]
+    fn decreases_past_the_window_keep_one_overflow_entry() {
+        let mut scores = vec![5000u64, 6000, 10];
+        let mut alive = vec![true; 3];
+        let mut q = BucketQueue::new();
+        for (i, &s) in scores.iter().enumerate() {
+            q.push(i as u32, s);
+        }
+        for new in [5500u64, 5200, 3000] {
+            let old = std::mem::replace(&mut scores[1], new);
+            q.decrease(1, old, new);
+        }
+        assert_eq!(q.overflow, vec![0, 1], "no entry per past-window decrease");
+        // A decrease into the window needs (and gets) a bucket entry.
+        scores[0] = 7;
+        q.decrease(0, 5000, 7);
+        let mut order = Vec::new();
+        while let Some((s, f)) = q.pop_min_bucket(&scores, &mut alive) {
+            order.push((s, f));
+        }
+        assert_eq!(order, vec![(7, vec![0]), (10, vec![2]), (3000, vec![1])]);
+    }
+
+    #[test]
     fn overflow_rebuckets_repeatedly() {
         // Scores spread over several windows force multiple rebases.
         let n = 40usize;
@@ -234,17 +227,5 @@ mod tests {
         }
         assert_eq!(seen.len(), n);
         assert!(seen.windows(2).all(|w| w[0].0 <= w[1].0));
-    }
-
-    #[test]
-    fn stamp_set_clears_in_o1() {
-        let mut s = StampSet::new(4);
-        s.insert(1);
-        s.insert(3);
-        assert!(s.contains(1) && s.contains(3) && !s.contains(0));
-        s.clear();
-        assert!(!s.contains(1) && !s.contains(3));
-        s.insert(0);
-        assert!(s.contains(0));
     }
 }

@@ -9,17 +9,18 @@
 
 pub mod bucket;
 pub mod decomposition;
+mod live;
 pub mod parallel;
 pub mod tip;
 pub mod wing;
 
-pub use bucket::{BucketQueue, StampSet};
+pub use bucket::BucketQueue;
 pub use decomposition::{TipDecomposition, WingDecomposition};
 pub use parallel::{
     tip_numbers_budgeted_recorded, tip_numbers_parallel, tip_numbers_parallel_recorded,
-    tip_numbers_with_chunks, try_tip_numbers, try_wing_numbers, wing_numbers_budgeted_recorded,
-    wing_numbers_parallel, wing_numbers_parallel_recorded, wing_numbers_with_chunks,
-    PAR_FRONTIER_MIN,
+    tip_numbers_with_chunks, try_tip_numbers, try_wing_numbers, wing_floor_bytes,
+    wing_numbers_budgeted_recorded, wing_numbers_parallel, wing_numbers_parallel_recorded,
+    wing_numbers_with_chunks, PAR_FRONTIER_MIN,
 };
 
 pub use tip::{

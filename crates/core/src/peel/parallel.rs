@@ -32,15 +32,20 @@
 //!   at least one of them exactly once; the kernel charges a butterfly
 //!   to its minimum-id frontier edge, which decrements only the
 //!   butterfly's non-frontier edges.
+//!
+//! The engine is generic over a per-run `PeelState` the kernel reads
+//! and the engine updates after every round: tip needs none (`()`), wing
+//! peels over `LiveRows` (`peel/live.rs`), its compacted live adjacency.
 
-use super::bucket::{BucketQueue, StampSet};
-use super::wing::edge_id;
-use crate::edge_support::{edge_supports, edge_supports_parallel};
-use crate::vertex_counts::{butterflies_per_vertex, butterflies_per_vertex_parallel};
+use super::bucket::BucketQueue;
+use super::live::LiveRows;
+use crate::edge_support::csc_edge_ids;
+use crate::family::priority::{butterflies_per_vertex_priority, edge_supports_priority_with};
 use bfly_graph::{BipartiteGraph, Side};
 use bfly_sparse::{choose2, Spa};
-use bfly_telemetry::{Counter, NoopRecorder, Recorder, ThreadTrace};
+use bfly_telemetry::{timed_span, Counter, NoopRecorder, Recorder, ThreadTrace};
 use rayon::prelude::*;
+use std::time::Instant;
 
 /// Smallest frontier worth chunking across workers: below this the
 /// per-round join (and the thread handoff of the vendored rayon shim)
@@ -49,29 +54,51 @@ use rayon::prelude::*;
 pub const PAR_FRONTIER_MIN: usize = 128;
 
 /// Per-worker peeling scratch: `cnt` accumulates wedge multiplicities
-/// inside a single kernel invocation (tip only), `delta` accumulates the
-/// chunk's score decrements across the whole round.
+/// inside a single kernel invocation (tip only; empty for wing), `delta`
+/// accumulates the chunk's score decrements across the whole round.
 pub(super) struct PeelScratch {
     pub(super) cnt: Spa<u64>,
     pub(super) delta: Spa<u64>,
 }
 
 impl PeelScratch {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, uses_cnt: bool) -> Self {
         PeelScratch {
-            cnt: Spa::new(n),
+            cnt: Spa::new(if uses_cnt { n } else { 0 }),
             delta: Spa::new(n),
         }
     }
 }
 
+/// Per-run state the kernel reads during a round and the engine updates
+/// after it. `after_round` sees the round's frontier, already marked dead
+/// in `alive`; it runs after every round, score-0 rounds included, and
+/// not after a deadline cut.
+pub(super) trait PeelState: Sync {
+    fn after_round(&mut self, _frontier: &[u32], _alive: &[bool]) {}
+}
+
+impl PeelState for () {}
+
+/// The fixed parameters of one peel run.
+struct PeelRun {
+    /// Frontier fan-out (`1` = sequential).
+    chunks: usize,
+    /// Counter bumped by each round's frontier size.
+    peeled: Counter,
+    /// Round-boundary wall-clock deadline.
+    deadline: Option<Instant>,
+    /// Whether kernels use [`PeelScratch::cnt`].
+    uses_cnt: bool,
+}
+
 /// The shared driver. `scores` are the initial butterfly counts or edge
-/// supports; `kernel(item, alive, frontier, scratch)` scatters the score
+/// supports; `kernel(item, state, alive, scratch)` scatters the score
 /// decrements caused by removing `item` into `scratch.delta`. Returns
 /// the peel number of every item.
 ///
 /// Recorded per round: a `peel_round` span, [`Counter::PeelRounds`], the
-/// peeled-item counter given by `peeled`, the `bucket_size` and
+/// peeled-item counter given by `run.peeled`, the `bucket_size` and
 /// `support_updates` histograms, and [`Counter::SupportsRecomputed`]
 /// (touched delta entries). Parallel rounds additionally merge one
 /// `chunk` span per worker and bump [`Counter::ParChunks`].
@@ -83,18 +110,24 @@ impl PeelScratch {
 /// still-alive item is assigned `max(level, residual score)` — an upper
 /// bound on its true peel number, since residual scores only decrease
 /// and the level only rises to an extracted score.
-fn peel_with_kernel_deadline<R, K>(
+fn peel_with_kernel_deadline<R, S, K>(
     mut scores: Vec<u64>,
-    chunks: usize,
-    peeled: Counter,
-    deadline: Option<std::time::Instant>,
+    run: PeelRun,
     rec: &mut R,
+    state: &mut S,
     kernel: K,
 ) -> (Vec<u64>, bool)
 where
     R: Recorder,
-    K: Fn(u32, &[bool], &StampSet, &mut PeelScratch) + Sync,
+    S: PeelState,
+    K: Fn(u32, &S, &[bool], &mut PeelScratch) + Sync,
 {
+    let PeelRun {
+        chunks,
+        peeled,
+        deadline,
+        uses_cnt,
+    } = run;
     let n = scores.len();
     let mut alive = vec![true; n];
     let mut peel = vec![0u64; n];
@@ -102,14 +135,13 @@ where
     for (i, &s) in scores.iter().enumerate() {
         queue.push(i as u32, s);
     }
-    let mut frontier_set = StampSet::new(n);
-    let mut main = PeelScratch::new(n);
+    let mut main = PeelScratch::new(n, uses_cnt);
     // Worker scratches persist across rounds; allocated on first use.
     let mut pool: Vec<PeelScratch> = Vec::new();
     let mut level = 0u64;
     let mut complete = true;
     while let Some((score, frontier)) = queue.pop_min_bucket(&scores, &mut alive) {
-        if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
             // The popped frontier was already marked dead; peel it at its
             // score like a normal round, then stop at this boundary.
             level = level.max(score);
@@ -132,31 +164,27 @@ where
         // Score-0 items sit in no surviving butterfly (their stored score
         // upper-bounds the true one), so their removal repairs nothing.
         if score > 0 {
-            frontier_set.clear();
-            for &v in &frontier {
-                frontier_set.insert(v);
-            }
             if chunks > 1 && frontier.len() >= PAR_FRONTIER_MIN {
                 while pool.len() < chunks {
-                    pool.push(PeelScratch::new(n));
+                    pool.push(PeelScratch::new(n, uses_cnt));
                 }
                 let chunk_len = frontier.len().div_ceil(chunks);
                 let mut parts: Vec<(&[u32], PeelScratch)> = Vec::with_capacity(chunks);
                 for part in frontier.chunks(chunk_len) {
                     parts.push((part, pool.pop().expect("pool sized to chunks")));
                 }
-                let (alive_ref, set_ref, kernel_ref) = (&alive, &frontier_set, &kernel);
+                let (alive_ref, state_ref, kernel_ref) = (&alive, &*state, &kernel);
                 type ChunkOut = ((Vec<u32>, Vec<u64>), Option<ThreadTrace>, PeelScratch);
                 let results: Vec<ChunkOut> = parts
                     .into_par_iter()
                     .map(|(part, mut scratch)| {
                         let mut trace = R::ENABLED.then(ThreadTrace::new);
-                        let t0 = std::time::Instant::now();
+                        let t0 = Instant::now();
                         if let Some(t) = trace.as_mut() {
                             t.span_enter("chunk");
                         }
                         for &v in part {
-                            kernel_ref(v, alive_ref, set_ref, &mut scratch);
+                            kernel_ref(v, state_ref, alive_ref, &mut scratch);
                         }
                         if let Some(t) = trace.as_mut() {
                             t.span_exit("chunk");
@@ -183,26 +211,28 @@ where
                 }
             } else {
                 for &v in &frontier {
-                    kernel(v, &alive, &frontier_set, &mut main);
+                    kernel(v, state, &alive, &mut main);
                 }
             }
-            let (idx, vals) = main.delta.drain_sorted();
             if R::ENABLED {
-                rec.incr(Counter::SupportsRecomputed, idx.len() as u64);
-                rec.hist_record("support_updates", idx.len() as u64);
+                let touched = main.delta.touched_len() as u64;
+                rec.incr(Counter::SupportsRecomputed, touched);
+                rec.hist_record("support_updates", touched);
             }
-            for (&w, &d) in idx.iter().zip(vals.iter()) {
+            for (w, d) in main.delta.entries() {
                 let wx = w as usize;
                 let old = scores[wx];
                 let new = level.max(old.saturating_sub(d));
                 if new != old {
                     scores[wx] = new;
-                    queue.push(w, new);
+                    queue.decrease(w, old, new);
                 }
             }
+            main.delta.clear();
         } else if R::ENABLED {
             rec.hist_record("support_updates", 0);
         }
+        state.after_round(&frontier, &alive);
         if R::ENABLED {
             rec.span_exit("peel_round");
         }
@@ -219,18 +249,22 @@ where
 
 /// [`super::tip::tip_numbers`] through the bucket engine with an explicit
 /// chunk count (`1` = sequential; tests and benches pin exact fan-outs
-/// with this). Output is identical for every chunk count.
+/// with this). Output is identical for every chunk count. The initial
+/// counts come from the vertex-priority kernel
+/// ([`butterflies_per_vertex_priority`]) inside a `peel_init` span.
 pub fn tip_numbers_with_chunks<R: Recorder>(
     g: &BipartiteGraph,
     side: Side,
     chunks: usize,
     rec: &mut R,
 ) -> Vec<u64> {
-    let init = if chunks > 1 {
-        butterflies_per_vertex_parallel(g, side)
-    } else {
-        butterflies_per_vertex(g, side)
-    };
+    let init = timed_span(rec, "peel_init", |_| {
+        let (b1, b2) = butterflies_per_vertex_priority(g);
+        match side {
+            Side::V1 => b1,
+            Side::V2 => b2,
+        }
+    });
     tip_peel_run(g, side, chunks, init, None, rec).0
 }
 
@@ -241,14 +275,14 @@ fn tip_peel_run<R: Recorder>(
     side: Side,
     chunks: usize,
     init: Vec<u64>,
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
     rec: &mut R,
 ) -> (Vec<u64>, bool) {
     let (part_adj, other_adj) = match side {
         Side::V1 => (g.biadjacency(), g.biadjacency_t()),
         Side::V2 => (g.biadjacency_t(), g.biadjacency()),
     };
-    let kernel = |u: u32, alive: &[bool], _frontier: &StampSet, scratch: &mut PeelScratch| {
+    let kernel = |u: u32, _: &(), alive: &[bool], scratch: &mut PeelScratch| {
         // Wedge-expand from the removed vertex over surviving partners;
         // C(multiplicity, 2) butterflies vanish per surviving partner.
         for &j in part_adj.row(u as usize) {
@@ -267,83 +301,52 @@ fn tip_peel_run<R: Recorder>(
         }
         cnt.clear();
     };
-    peel_with_kernel_deadline(init, chunks, Counter::PeeledVertices, deadline, rec, kernel)
+    let run = PeelRun {
+        chunks,
+        peeled: Counter::PeeledVertices,
+        deadline,
+        uses_cnt: true,
+    };
+    peel_with_kernel_deadline(init, run, rec, &mut (), kernel)
 }
 
 /// [`super::wing::wing_numbers`] through the bucket engine with an
-/// explicit chunk count. Output is identical for every chunk count.
+/// explicit chunk count. Output is identical for every chunk count. The
+/// initial supports come from the vertex-priority kernel
+/// ([`crate::family::edge_supports_priority`]) and share the
+/// [`csc_edge_ids`] map with the live rows; both are built inside a
+/// `peel_init` span.
 pub fn wing_numbers_with_chunks<R: Recorder>(
     g: &BipartiteGraph,
     chunks: usize,
     rec: &mut R,
 ) -> Vec<u64> {
-    let init = if chunks > 1 {
-        edge_supports_parallel(g)
-    } else {
-        edge_supports(g)
-    };
-    wing_peel_run(g, chunks, init, None, rec).0
+    let (init, rows) = timed_span(rec, "peel_init", |_| {
+        let ids = csc_edge_ids(g);
+        (edge_supports_priority_with(g, &ids), LiveRows::new(g, ids))
+    });
+    wing_peel_run(rows, chunks, init, None, rec).0
 }
 
 /// Shared wing-peeling run: bucket engine over precomputed initial
-/// supports with an optional round-boundary deadline.
+/// supports and the matching live rows, with an optional round-boundary
+/// deadline.
 fn wing_peel_run<R: Recorder>(
-    g: &BipartiteGraph,
+    mut rows: LiveRows<'_>,
     chunks: usize,
     init: Vec<u64>,
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
     rec: &mut R,
 ) -> (Vec<u64>, bool) {
-    let a = g.biadjacency();
-    let at = g.biadjacency_t();
-    let endpoints: Vec<(u32, u32)> = g.edges().collect();
-    let kernel = move |e: u32, alive: &[bool], frontier: &StampSet, scratch: &mut PeelScratch| {
-        let ex = e as usize;
-        let (u, v) = endpoints[ex];
-        // An edge participates in this round's butterflies if it was
-        // alive at round start — still alive now, or in the frontier.
-        let present = |i: usize| alive[i] || frontier.contains(i as u32);
-        for &w in at.row(v as usize) {
-            if w == u {
-                continue;
-            }
-            let wv = edge_id(a, w as usize, v);
-            if !present(wv) {
-                continue;
-            }
-            for &x in a.row(u as usize) {
-                if x == v {
-                    continue;
-                }
-                let ux = edge_id(a, u as usize, x);
-                if !present(ux) {
-                    continue;
-                }
-                let Ok(pos) = a.row(w as usize).binary_search(&x) else {
-                    continue;
-                };
-                let wx = a.ptr()[w as usize] + pos;
-                if !present(wx) {
-                    continue;
-                }
-                // The butterfly {e, ux, wv, wx} dies this round. Charge
-                // it to its minimum-id frontier edge so it is processed
-                // exactly once, decrementing only surviving edges.
-                if [ux, wv, wx]
-                    .iter()
-                    .any(|&o| o < ex && frontier.contains(o as u32))
-                {
-                    continue;
-                }
-                for &o in &[ux, wv, wx] {
-                    if alive[o] {
-                        scratch.delta.scatter(o as u32, 1);
-                    }
-                }
-            }
-        }
+    let run = PeelRun {
+        chunks,
+        peeled: Counter::PeeledEdges,
+        deadline,
+        uses_cnt: false,
     };
-    peel_with_kernel_deadline(init, chunks, Counter::PeeledEdges, deadline, rec, kernel)
+    peel_with_kernel_deadline(init, run, rec, &mut rows, |e, rows, alive, scratch| {
+        rows.repair(e, alive, &mut scratch.delta)
+    })
 }
 
 /// Tip decomposition with the frontier parallelised over rayon's current
@@ -378,10 +381,11 @@ pub fn wing_numbers_parallel_recorded<R: Recorder>(g: &BipartiteGraph, rec: &mut
     wing_numbers_with_chunks(g, chunks, rec)
 }
 
-/// Estimated bytes for one [`PeelScratch`] over `n` items: two `Spa`s,
-/// each roughly value (8) + stamp (8) + touched-list (8) bytes per slot.
-fn scratch_bytes(n: usize) -> u64 {
-    n as u64 * 48
+/// Estimated bytes for one [`PeelScratch`] over `n` items: each `Spa`
+/// is roughly value (8) + stamp (8) + touched-list (8) bytes per slot;
+/// wing scratches carry only `delta`, tip scratches `cnt` as well.
+fn scratch_bytes(n: usize, uses_cnt: bool) -> u64 {
+    n as u64 * if uses_cnt { 48 } else { 24 }
 }
 
 /// Estimated fixed engine footprint over `n` items: scores, peel
@@ -390,21 +394,31 @@ fn engine_base_bytes(n: usize) -> u64 {
     n as u64 * 32
 }
 
+/// Byte floor of a sequential wing decomposition of `g`: the engine over
+/// its edges, one delta-only scratch, and the live rows with their
+/// edge-id columns. [`wing_numbers_budgeted_recorded`] refuses any cap
+/// below it and runs at any cap at or above it.
+pub fn wing_floor_bytes(g: &BipartiteGraph) -> u64 {
+    let n = g.nedges();
+    engine_base_bytes(n) + scratch_bytes(n, false) + LiveRows::bytes(g)
+}
+
 /// Pick the widest chunk fan-out the byte budget allows, degrading
-/// parallel → sequential before giving up: each extra chunk costs one
-/// [`PeelScratch`]. Returns `Err` only when even the sequential shape
-/// (base + one scratch) does not fit.
+/// parallel → sequential before giving up: each chunk costs one
+/// `scratch` (a [`PeelScratch`]'s bytes) on top of `floor` (the
+/// sequential shape). Returns `Err` only when even the sequential shape
+/// does not fit.
 fn budgeted_chunks<R: Recorder>(
-    n: usize,
+    floor: u64,
+    scratch: u64,
     want_chunks: usize,
     budget: &crate::budget::ResourceBudget,
     rec: &mut R,
 ) -> crate::error::Result<usize> {
-    let floor = engine_base_bytes(n) + scratch_bytes(n);
     budget.check_bytes(floor)?;
     let mut chunks = want_chunks.max(1);
     // Parallel rounds add one scratch per chunk on top of the main one.
-    while chunks > 1 && !budget.bytes_fit(floor + chunks as u64 * scratch_bytes(n)) {
+    while chunks > 1 && !budget.bytes_fit(floor + chunks as u64 * scratch) {
         chunks -= 1;
     }
     if chunks < want_chunks.max(1) {
@@ -460,8 +474,11 @@ pub fn tip_numbers_budgeted_recorded<R: Recorder>(
     };
     budget.check_wedge_work(tip_init_work(g, side))?;
     let want = rayon::current_num_threads().max(1);
-    let chunks = budgeted_chunks(n, want, budget, rec)?;
-    let init = crate::vertex_counts::try_butterflies_per_vertex(g, side)?;
+    let scratch = scratch_bytes(n, true);
+    let chunks = budgeted_chunks(engine_base_bytes(n) + scratch, scratch, want, budget, rec)?;
+    let init = timed_span(rec, "peel_init", |_| {
+        crate::vertex_counts::try_butterflies_per_vertex(g, side)
+    })?;
     let (peel, complete) = tip_peel_run(g, side, chunks, init, budget.deadline, rec);
     if !complete {
         crate::budget::record_degraded(rec, "deadline");
@@ -484,9 +501,13 @@ pub fn wing_numbers_budgeted_recorded<R: Recorder>(
     budget.record_limits(rec);
     budget.check_wedge_work(wing_init_work(g))?;
     let want = rayon::current_num_threads().max(1);
-    let chunks = budgeted_chunks(g.nedges(), want, budget, rec)?;
-    let init = crate::edge_support::try_edge_supports(g)?;
-    let (peel, complete) = wing_peel_run(g, chunks, init, budget.deadline, rec);
+    let scratch = scratch_bytes(g.nedges(), false);
+    let chunks = budgeted_chunks(wing_floor_bytes(g), scratch, want, budget, rec)?;
+    let (init, rows) = timed_span(rec, "peel_init", |_| {
+        let init = crate::edge_support::try_edge_supports(g)?;
+        crate::error::Result::Ok((init, LiveRows::new(g, csc_edge_ids(g))))
+    })?;
+    let (peel, complete) = wing_peel_run(rows, chunks, init, budget.deadline, rec);
     if !complete {
         crate::budget::record_degraded(rec, "deadline");
     }

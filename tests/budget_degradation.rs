@@ -5,7 +5,7 @@
 
 use bfly::core::adaptive::plan_scratch_bytes;
 use bfly::core::peel::{
-    tip_numbers, tip_numbers_budgeted_recorded, wing_numbers_budgeted_recorded,
+    tip_numbers, tip_numbers_budgeted_recorded, wing_floor_bytes, wing_numbers_budgeted_recorded,
 };
 use bfly::core::telemetry::{InMemoryRecorder, NoopRecorder};
 use bfly::core::testkit::fixture_battery;
@@ -142,6 +142,35 @@ fn budgeted_peel_paths_match_unbudgeted_numbers() {
             Ok(r) => assert_eq!(r.value, bfly::core::peel::wing_numbers(&g), "{name}"),
             Err(BflyError::BudgetExceeded { .. }) => {}
             Err(other) => panic!("{name}: unexpected {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn wing_byte_floor_admits_exactly_the_sequential_shape() {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("pool");
+    for (name, g) in fixture_battery() {
+        let floor = wing_floor_bytes(&g);
+        let at_floor = ResourceBudget::unlimited().with_max_bytes(floor);
+        let r = pool
+            .install(|| wing_numbers_budgeted_recorded(&g, &at_floor, &mut NoopRecorder))
+            .unwrap_or_else(|e| panic!("{name}: a cap at the floor must run, got {e:?}"));
+        assert!(r.complete, "{name}");
+        assert_eq!(r.value, bfly::core::peel::wing_numbers(&g), "{name}");
+        let below = ResourceBudget::unlimited().with_max_bytes(floor - 1);
+        match pool.install(|| wing_numbers_budgeted_recorded(&g, &below, &mut NoopRecorder)) {
+            Err(BflyError::BudgetExceeded {
+                resource,
+                limit,
+                requested,
+            }) => {
+                assert_eq!(resource, "bytes", "{name}");
+                assert_eq!((limit, requested), (floor - 1, floor), "{name}");
+            }
+            other => panic!("{name}: expected bytes refusal below the floor, got {other:?}"),
         }
     }
 }

@@ -12,10 +12,15 @@ use bfly::core::peel::{
     tip_numbers_parallel, tip_numbers_with_chunks, wing_numbers, wing_numbers_oracle,
     wing_numbers_parallel, wing_numbers_with_chunks,
 };
-use bfly::core::telemetry::NoopRecorder;
+use bfly::core::peel::{wing_numbers_budgeted_recorded, PAR_FRONTIER_MIN};
+use bfly::core::telemetry::{Counter, InMemoryRecorder, NoopRecorder};
 use bfly::core::testkit::{arb_family_graph, arb_graph, fixture_battery};
-use bfly::graph::Side;
+use bfly::core::ResourceBudget;
+use bfly::graph::generators::chung_lu;
+use bfly::graph::{BipartiteGraph, Side};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Chunk widths / pool sizes the acceptance gate pins.
 const WIDTHS: [usize; 4] = [1, 2, 4, 6];
@@ -161,6 +166,96 @@ fn degenerate_inputs_battery() {
     assert!(max_wing > 0);
     assert!(k_wing(&g, max_wing).subgraph.nedges() > 0);
     assert_eq!(k_wing(&g, max_wing + 1).subgraph.nedges(), 0);
+}
+
+/// Skewed Chung–Lu graphs big enough (≥ 3k edges) that repaired rounds
+/// reach [`PAR_FRONTIER_MIN`] on both decompositions, so chunked rounds
+/// and live-row compaction after large frontiers both run. Heavy hubs on
+/// one side only make the wing kernel expand from either endpoint and
+/// take the skewed-search path of its row intersections.
+fn large_skewed_graphs() -> Vec<(String, BipartiteGraph)> {
+    [
+        (2000, 400, 4000, 0.0, 1.5, 21u64),
+        (400, 2000, 4000, 1.5, 0.0, 21),
+        (1000, 1000, 4000, 0.0, 2.0, 22),
+    ]
+    .into_iter()
+    .map(|(m, n, e, exp1, exp2, seed)| {
+        let g = chung_lu(m, n, e, exp1, exp2, &mut StdRng::seed_from_u64(seed));
+        (format!("chung-lu-{m}x{n}x{e}-{exp1}-{exp2}"), g)
+    })
+    .collect()
+}
+
+#[test]
+fn large_frontiers_match_the_oracles() {
+    for (name, g) in large_skewed_graphs() {
+        assert!(g.nedges() >= 3000, "{name}: {} edges", g.nedges());
+        let mut tip_par_chunks = 0;
+        for side in [Side::V1, Side::V2] {
+            let oracle = tip_numbers_oracle(&g, side);
+            for chunks in [1usize, 2, 3] {
+                let mut rec = InMemoryRecorder::new();
+                let got = tip_numbers_with_chunks(&g, side, chunks, &mut rec);
+                assert_eq!(got, oracle, "{name} {side:?}: tip chunks={chunks}");
+                tip_par_chunks += rec.counter(Counter::ParChunks);
+            }
+        }
+        assert!(
+            tip_par_chunks > 0,
+            "{name}: no tip frontier reached PAR_FRONTIER_MIN = {PAR_FRONTIER_MIN}"
+        );
+        let oracle = wing_numbers_oracle(&g);
+        for chunks in [1usize, 2, 3] {
+            let mut rec = InMemoryRecorder::new();
+            let got = wing_numbers_with_chunks(&g, chunks, &mut rec);
+            assert_eq!(got, oracle, "{name}: wing chunks={chunks}");
+            if chunks > 1 {
+                assert!(
+                    rec.counter(Counter::ParChunks) > 0,
+                    "{name}: no wing frontier reached PAR_FRONTIER_MIN = {PAR_FRONTIER_MIN}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn deadline_truncated_wing_numbers_bound_the_oracle() {
+    use std::time::Duration;
+    let (name, g) = large_skewed_graphs().swap_remove(0);
+    let oracle = wing_numbers_oracle(&g);
+    // An expired deadline always truncates; the later ones may or may
+    // not, and the bounds hold either way.
+    for after_us in [0u64, 200, 1000, 5000] {
+        let budget = ResourceBudget::unlimited().with_deadline_in(Duration::from_micros(after_us));
+        let mut rec = InMemoryRecorder::new();
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("pool");
+        let r = pool
+            .install(|| wing_numbers_budgeted_recorded(&g, &budget, &mut rec))
+            .expect("unlimited bytes and work");
+        if after_us == 0 {
+            assert!(!r.complete, "{name}: an expired deadline must truncate");
+        }
+        if r.complete {
+            assert_eq!(r.value, oracle, "{name} +{after_us}us: complete run");
+            continue;
+        }
+        // Alive edges carry an upper bound, peeled edges their exact
+        // number — so at least the peeled count matches the oracle.
+        for (e, (&got, &want)) in r.value.iter().zip(&oracle).enumerate() {
+            assert!(got >= want, "{name} +{after_us}us: edge {e} {got} < {want}");
+        }
+        let exact = r.value.iter().zip(&oracle).filter(|(a, b)| a == b).count();
+        assert!(
+            exact as u64 >= rec.counter(Counter::PeeledEdges),
+            "{name} +{after_us}us: {exact} exact < {} peeled",
+            rec.counter(Counter::PeeledEdges)
+        );
+    }
 }
 
 proptest! {

@@ -212,3 +212,44 @@ fn v1_reports_parse_and_future_schemas_are_rejected() {
     let msg = err.to_string();
     assert!(msg.contains("newer"), "unhelpful error: {msg}");
 }
+
+/// The decompositions spend their wall time inside spans: the initial
+/// count in `peel_init`, each round's repair and score updates in
+/// `peel_round`. Together they must cover at least 90% of the
+/// `tip_decompose` / `wing_decompose` phase the CLI wraps them in.
+#[test]
+fn peel_spans_cover_the_decompose_phases() {
+    use bfly::core::peel::{tip_numbers_with_chunks, wing_numbers_with_chunks};
+    use bfly::core::telemetry::timed_phase;
+    use bfly::graph::StandIn;
+    let g = StandIn::Occupations.generate_scaled(0.1);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("pool");
+    let coverage = |phase: &'static str, run: &dyn Fn(&mut InMemoryRecorder)| {
+        let mut rec = InMemoryRecorder::new();
+        timed_phase(&mut rec, phase, |rec| pool.install(|| run(rec)));
+        let phase_s = rec
+            .phase_rows()
+            .iter()
+            .find(|(name, _, _)| name == phase)
+            .map(|&(_, s, _)| s)
+            .expect("phase recorded");
+        let spans_us: u64 = rec
+            .spans()
+            .iter()
+            .filter(|s| s.thread == 0 && (s.name == "peel_init" || s.name == "peel_round"))
+            .map(|s| s.dur_us)
+            .sum();
+        spans_us as f64 / 1e6 / phase_s
+    };
+    let tip = coverage("tip_decompose", &|rec| {
+        tip_numbers_with_chunks(&g, Side::V1, 2, rec);
+    });
+    let wing = coverage("wing_decompose", &|rec| {
+        wing_numbers_with_chunks(&g, 2, rec);
+    });
+    assert!(tip >= 0.9, "tip_decompose span coverage {tip:.3}");
+    assert!(wing >= 0.9, "wing_decompose span coverage {wing:.3}");
+}
