@@ -809,6 +809,18 @@ fn spa_bytes(n: usize) -> u64 {
     24 * n as u64
 }
 
+/// Byte allowance of the out-of-core row cache
+/// ([`SegmentedGraph::row_reader`](bfly_graph::SegmentedGraph::row_reader)):
+/// one shard's decoded partition rows — the `4|E| + 8n` CSR of the
+/// `part_len`-vertex partitioned side split `shards` ways — capped at
+/// [`STREAM_WINDOW_BYTES`](crate::family::sharded::STREAM_WINDOW_BYTES).
+/// Tied to the shard so a byte cap that forces many shards shrinks the
+/// cache with them.
+pub(crate) fn sharded_row_cache_bytes(nedges: usize, part_len: usize, shards: usize) -> u64 {
+    let shard_rows = (4 * nedges as u64 + 8 * part_len as u64) / shards.max(1) as u64;
+    shard_rows.min(crate::family::sharded::STREAM_WINDOW_BYTES)
+}
+
 /// Order-of-magnitude scratch estimate for executing `plan` on a graph
 /// of `profile`'s shape: one wedge accumulator per worker (sized by the
 /// partitioned side), the chunk-balancing arrays when parallel, and the
@@ -857,10 +869,12 @@ pub fn plan_scratch_bytes(profile: &GraphProfile, plan: &Plan) -> u64 {
         ExecMode::Sharded { shards } => {
             // Out-of-core footprint: the `.bfly` metadata (degree arrays
             // plus payload indexes for both sides), one shard's worth of
-            // decoded partition rows, one decoded other-side row, one
-            // accumulator over the partitioned side, and the shard
-            // balancing arrays. Unlike the in-memory modes this *replaces*
-            // the resident graph rather than adding to it.
+            // decoded partition rows, the cache of hot other-side rows
+            // plus one decoded cold row, one accumulator over the
+            // partitioned side, and the shard balancing arrays. Unlike
+            // the in-memory modes this *replaces* the resident graph
+            // rather than adding to it.
+            let row_cache = sharded_row_cache_bytes(profile.nedges, n, shards);
             let shards = shards.max(1) as u64;
             let nboth = (profile.nv1 + profile.nv2) as u64;
             let max_deg_other = match plan.partition_side() {
@@ -880,6 +894,7 @@ pub fn plan_scratch_bytes(profile: &GraphProfile, plan: &Plan) -> u64 {
             metadata
                 .saturating_add(shard_rows)
                 .saturating_add(shard_payload)
+                .saturating_add(row_cache)
                 .saturating_add(rowbuf)
                 .saturating_add(spa_bytes(n))
                 .saturating_add(weights)
@@ -1616,6 +1631,66 @@ mod tests {
         assert_eq!(r.value.0, count_brute_force(&g));
         assert!(matches!(r.value.1.member, Member::Fixed(_)));
         assert_eq!(rec.gauge_value("budget.degraded"), Some(1.0));
+    }
+
+    #[test]
+    fn sharded_estimate_charges_a_shard_bounded_row_cache() {
+        use crate::family::sharded::STREAM_WINDOW_BYTES;
+        let mut rng = StdRng::seed_from_u64(42);
+        // The CI out-of-core shape (uniform, 2000 × 2000, 200k edges) and
+        // a small skewed one.
+        for g in [
+            uniform_exact(2000, 2000, 200_000, &mut rng),
+            chung_lu(300, 200, 2500, 1.0, 0.8, &mut rng),
+        ] {
+            let p = GraphProfile::compute(&g);
+            let mut plan = select_plan(&p, false, 0);
+            plan.member = Member::Fixed(plan.invariant);
+            let (n, max_deg_other) = match plan.partition_side() {
+                Side::V1 => (p.nv1, p.max_deg_v2),
+                Side::V2 => (p.nv2, p.max_deg_v1),
+            };
+            let rows = 4 * p.nedges as u64 + 8 * n as u64;
+            let mut shards = 1;
+            loop {
+                plan.mode = ExecMode::Sharded { shards };
+                let s = shards as u64;
+                let cache = sharded_row_cache_bytes(p.nedges, n, shards);
+                assert_eq!(
+                    cache,
+                    (rows / s).min(STREAM_WINDOW_BYTES),
+                    "shards {shards}"
+                );
+                // Every other term as before the cache was charged.
+                let rest = 12 * (p.nv1 + p.nv2) as u64
+                    + 32
+                    + rows / s
+                    + rows / s / 2
+                    + 12 * max_deg_other as u64
+                    + spa_bytes(n)
+                    + 8 * n as u64
+                    + 8 * (s + 1);
+                assert_eq!(
+                    plan_scratch_bytes(&p, &plan),
+                    rest + cache,
+                    "shards {shards}"
+                );
+                if shards == n {
+                    // At one vertex per shard the cache is at most one
+                    // average row, so the refusal floor barely moves.
+                    assert!(cache <= rows / n as u64);
+                    break;
+                }
+                shards = (shards * 2).min(n);
+            }
+        }
+        // The CI cap of 512 KiB on the 2000 × 2000 shape still plans the
+        // sharded tier rather than refusing.
+        let g = uniform_exact(2000, 2000, 200_000, &mut StdRng::seed_from_u64(42));
+        let p = GraphProfile::compute(&g);
+        let budget = ResourceBudget::unlimited().with_max_bytes(512 << 10);
+        let plan = select_plan_budgeted(&p, false, 0, &budget, &mut NoopRecorder).unwrap();
+        assert!(matches!(plan.mode, ExecMode::Sharded { .. }), "{plan:?}");
     }
 
     #[test]

@@ -22,15 +22,19 @@
 //!   [`SegmentedGraph`] (the `.bfly` on-disk format) counted without
 //!   ever materializing the full graph. Each shard materializes only
 //!   its own partitioned-side rows ([`SegmentedGraph::segment`]);
-//!   opposite-side rows stream through a [`RowReader`]. Peak memory is
-//!   the reader's metadata plus one shard plus one SPA — the
+//!   opposite-side rows come through a [`RowReader`]: the highest-degree
+//!   ones from a row cache filled once before the first counted shard,
+//!   the rest by one positioned read each. Peak memory is the reader's
+//!   metadata plus one shard plus the row cache plus one SPA — the
 //!   `mem.peak_bytes` gauge proves it.
 //!
 //! Shards are sized by the same [`balanced_chunk_bounds`] wedge-weighted
 //! splitting the parallel kernels use, so skewed graphs get even shards
 //! by *work*, not vertex count. Telemetry: a `shard` span per shard, the
 //! `shards_planned` / `shard_bytes` gauges, a `shard_wedges` series (the
-//! per-shard forecast), and the `shards_processed` counter.
+//! per-shard forecast), and the `shards_processed` counter; out of core
+//! also a `row_cache` span and the `row_cache.rows` / `row_cache.bytes` /
+//! `rows_fetched` gauges.
 
 use super::engine::{update_for_vertex, update_vertices, DEADLINE_STRIDE};
 use super::parallel::{balanced_chunk_bounds, wedge_weights};
@@ -421,7 +425,9 @@ pub fn count_segmented_sharded_recorded<R: Recorder>(
 ///
 /// Execution mirrors the engine kernel exactly — same counters, same
 /// `vertex_wedges` histogram — over [`GraphSegment`] rows with
-/// opposite-side rows streamed through a [`RowReader`]. The budget's
+/// opposite-side rows served by a [`RowReader`] whose row cache gets
+/// [`sharded_row_cache_bytes`](crate::adaptive::sharded_row_cache_bytes)
+/// (the plan estimate charges the same term). The budget's
 /// deadline is polled every [`DEADLINE_STRIDE`] vertices (a cut returns
 /// the exact processed-prefix count with `complete = false`), and
 /// measured allocation is re-checked at every shard boundary.
@@ -518,6 +524,13 @@ pub fn count_segmented_checkpointed_recorded<R: Recorder>(
         .filter(|w| w[1] > w[0])
         .map(|w| (w[0], w[1]))
         .collect();
+    // Only the per-shard totals outlive planning: the per-vertex weights
+    // go before the row cache is filled.
+    let shard_wedges: Vec<u64> = ranges
+        .iter()
+        .map(|&(lo, hi)| weights[lo..hi].iter().sum())
+        .collect();
+    drop(weights);
     if R::ENABLED {
         rec.gauge("shards_planned", ranges.len().max(1) as f64);
         let max_bytes = ranges
@@ -549,11 +562,13 @@ pub fn count_segmented_checkpointed_recorded<R: Recorder>(
     let mut complete = true;
     let mut exposed = 0usize;
     let mut shards_done = 0u64;
+    let cache_bytes =
+        crate::adaptive::sharded_row_cache_bytes(sg.nedges() as usize, part_len, nshards);
+    let mut reader = sg.row_reader(other_side, cache_bytes);
+    let mut cache_filled = false;
     let phase_result =
         bfly_telemetry::timed_phase(rec, "count", |rec| -> crate::error::Result<()> {
-            let mut reader = sg.row_reader(other_side);
-            'shards: for &(lo, hi) in &ranges {
-                let wedge_total: u64 = weights[lo..hi].iter().sum();
+            'shards: for (&(lo, hi), &wedge_total) in ranges.iter().zip(&shard_wedges) {
                 if let Some(store) = &store {
                     if let Some(saved) = store.load_shard(lo, hi)? {
                         total.merge(saved);
@@ -564,6 +579,14 @@ pub fn count_segmented_checkpointed_recorded<R: Recorder>(
                         shards_done += 1;
                         continue 'shards;
                     }
+                }
+                // Fill before the first counted shard's rows are decoded,
+                // so the fill's stream window never overlaps a live
+                // segment; a resume that restores every shard never
+                // gets here.
+                if !cache_filled {
+                    timed_span(rec, "row_cache", |_rec| reader.fill())?;
+                    cache_filled = true;
                 }
                 let seg = sg.segment(side, lo, hi)?;
                 let mut shard_acc = CheckedAccum::new();
@@ -649,6 +672,13 @@ pub fn count_segmented_checkpointed_recorded<R: Recorder>(
     let (retries1, giveups1) = sg.retry_stats();
     rec.incr(Counter::IoRetries, retries1.saturating_sub(retries0));
     rec.incr(Counter::IoGiveups, giveups1.saturating_sub(giveups0));
+    if R::ENABLED {
+        rec.gauge("row_cache.rows", reader.cached_rows() as f64);
+        rec.gauge("row_cache.bytes", reader.cached_bytes() as f64);
+        rec.gauge("rows_fetched", reader.rows_fetched() as f64);
+    }
+    // Free the cache before `record_memory` reads the current bytes.
+    drop(reader);
     phase_result?;
     if !complete {
         record_degraded(rec, "deadline");

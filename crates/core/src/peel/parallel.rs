@@ -394,13 +394,26 @@ fn engine_base_bytes(n: usize) -> u64 {
     n as u64 * 32
 }
 
-/// Byte floor of a sequential wing decomposition of `g`: the engine over
-/// its edges, one delta-only scratch, and the live rows with their
-/// edge-id columns. [`wing_numbers_budgeted_recorded`] refuses any cap
-/// below it and runs at any cap at or above it.
+/// Bytes of `g` itself, resident for the whole run: a byte budget caps
+/// the resident graph *plus* working memory, as the counting planner
+/// charges it.
+fn graph_bytes(g: &BipartiteGraph) -> u64 {
+    crate::adaptive::graph_resident_bytes(g.nv1(), g.nv2(), g.nedges())
+}
+
+/// Byte floor of a sequential tip decomposition of `side`'s `n`
+/// vertices: the resident graph, the engine, and one counting scratch.
+fn tip_floor_bytes(g: &BipartiteGraph, n: usize) -> u64 {
+    graph_bytes(g) + engine_base_bytes(n) + scratch_bytes(n, true)
+}
+
+/// Byte floor of a sequential wing decomposition of `g`: the resident
+/// graph, the engine over its edges, one delta-only scratch, and the
+/// live rows with their edge-id columns. [`wing_numbers_budgeted_recorded`]
+/// refuses any cap below it and runs at any cap at or above it.
 pub fn wing_floor_bytes(g: &BipartiteGraph) -> u64 {
     let n = g.nedges();
-    engine_base_bytes(n) + scratch_bytes(n, false) + LiveRows::bytes(g)
+    graph_bytes(g) + engine_base_bytes(n) + scratch_bytes(n, false) + LiveRows::bytes(g)
 }
 
 /// Pick the widest chunk fan-out the byte budget allows, degrading
@@ -475,7 +488,7 @@ pub fn tip_numbers_budgeted_recorded<R: Recorder>(
     budget.check_wedge_work(tip_init_work(g, side))?;
     let want = rayon::current_num_threads().max(1);
     let scratch = scratch_bytes(n, true);
-    let chunks = budgeted_chunks(engine_base_bytes(n) + scratch, scratch, want, budget, rec)?;
+    let chunks = budgeted_chunks(tip_floor_bytes(g, n), scratch, want, budget, rec)?;
     let init = timed_span(rec, "peel_init", |_| {
         crate::vertex_counts::try_butterflies_per_vertex(g, side)
     })?;
@@ -627,6 +640,46 @@ mod tests {
             .spans()
             .iter()
             .any(|s| s.name == "chunk" && s.thread > 0));
+    }
+
+    #[test]
+    fn peel_byte_floors_charge_the_resident_graph() {
+        use crate::budget::ResourceBudget;
+        use crate::error::BflyError;
+        let g = sample(8);
+        let refused = |r: crate::error::Result<_>, floor: u64, what: &str| match r {
+            Err(BflyError::BudgetExceeded {
+                resource: "bytes",
+                limit,
+                requested,
+            }) => assert_eq!(
+                (limit, requested),
+                (floor - graph_bytes(&g), floor),
+                "{what}"
+            ),
+            other => panic!("{what}: expected a bytes refusal, got {other:?}"),
+        };
+        // The floors before the resident graph was charged: engine and
+        // scratch (and, for wing, the live rows) alone.
+        for side in [Side::V1, Side::V2] {
+            let n = g.nvertices(side);
+            let floor = tip_floor_bytes(&g, n);
+            let old = ResourceBudget::unlimited()
+                .with_max_bytes(engine_base_bytes(n) + scratch_bytes(n, true));
+            let r = tip_numbers_budgeted_recorded(&g, side, &old, &mut NoopRecorder);
+            refused(r.map(|p| p.value), floor, "tip");
+            let at = ResourceBudget::unlimited().with_max_bytes(floor);
+            let r = tip_numbers_budgeted_recorded(&g, side, &at, &mut NoopRecorder).unwrap();
+            assert_eq!(
+                r.value,
+                tip_numbers_with_chunks(&g, side, 1, &mut NoopRecorder)
+            );
+        }
+        let n = g.nedges();
+        let old = ResourceBudget::unlimited()
+            .with_max_bytes(engine_base_bytes(n) + scratch_bytes(n, false) + LiveRows::bytes(&g));
+        let r = wing_numbers_budgeted_recorded(&g, &old, &mut NoopRecorder);
+        refused(r.map(|p| p.value), wing_floor_bytes(&g), "wing");
     }
 
     #[test]

@@ -566,7 +566,8 @@ pub fn is_bfly_file(path: impl AsRef<Path>) -> bool {
 /// never has to fit in memory. Mirrors the [`BipartiteGraph`] metadata
 /// API (`nv1`/`nv2`/`nedges`/`deg_v1`/`deg_v2`); adjacency comes from
 /// [`SegmentedGraph::segment`] (a materialized vertex range) or
-/// [`SegmentedGraph::row_reader`] (single rows with a reusable buffer).
+/// [`SegmentedGraph::row_reader`] (single rows, the hottest of them from
+/// a bounded cache).
 #[derive(Debug)]
 pub struct SegmentedGraph {
     file: File,
@@ -594,6 +595,9 @@ struct FaultPlan {
     /// with `Interrupted`, then reads succeed — exercises the retry
     /// path end to end in a real binary.
     transient: AtomicU64,
+    /// First read number (1-based) the transient faults may hit; 0 (the
+    /// environment's setting) means from the first read on.
+    transient_from: AtomicU64,
 }
 
 impl FaultPlan {
@@ -604,6 +608,7 @@ impl FaultPlan {
         FaultPlan {
             error_at_read: env_u64("BFLY_FAULT_READ_ERROR_AT"),
             transient: AtomicU64::new(env_u64("BFLY_FAULT_READ_TRANSIENT").unwrap_or(0)),
+            transient_from: AtomicU64::new(0),
         }
     }
 
@@ -613,6 +618,9 @@ impl FaultPlan {
             return Err(std::io::Error::other(format!(
                 "injected hard fault at positioned read {seq} (BFLY_FAULT_READ_ERROR_AT)"
             )));
+        }
+        if seq < self.transient_from.load(Ordering::Relaxed) {
+            return Ok(());
         }
         loop {
             let left = self.transient.load(Ordering::Relaxed);
@@ -684,6 +692,18 @@ impl SegmentedGraph {
     /// restores fail-on-first-error behaviour.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
+    }
+
+    /// Arm `attempts` transient (`Interrupted`) faults on positioned
+    /// reads numbered `from_read` onwards (1-based, counted since open).
+    /// The in-process form of `BFLY_FAULT_READ_TRANSIENT`, which always
+    /// starts at the first read: it lets a test place retries inside a
+    /// later phase of a run, such as the row-cache fill.
+    pub fn inject_transient_read_faults(&self, from_read: u64, attempts: u64) {
+        self.faults
+            .transient_from
+            .store(from_read, Ordering::Relaxed);
+        self.faults.transient.store(attempts, Ordering::Relaxed);
     }
 
     /// Snapshot of `(retried attempts, give-ups)` accumulated by
@@ -832,14 +852,26 @@ impl SegmentedGraph {
         })
     }
 
-    /// A reusable single-row decoder for `side`.
-    pub fn row_reader(&self, side: Side) -> RowReader<'_> {
+    /// A single-row decoder for `side` that serves the highest-degree
+    /// rows from a cache of at most `cache_bytes`.
+    ///
+    /// A row of degree `d` is fetched once per wedge edge through it —
+    /// `d` times per pass — and costs `d` entries to decode, so a fixed
+    /// number of bytes is best spent on the highest-degree rows. The
+    /// cache holds every row of degree ≥ `t`, for the smallest `t` whose
+    /// whole degree classes fit `cache_bytes` ([`RowReader::fill`]);
+    /// colder rows take one positioned read each. Both paths go through
+    /// the same fault injection, retries and full row validation.
+    pub fn row_reader(&self, side: Side, cache_bytes: u64) -> RowReader<'_> {
         RowReader {
             graph: self,
             side,
+            cache_bytes,
+            hot: None,
             bytes: Vec::new(),
             vals: Vec::new(),
             last: usize::MAX,
+            fetched: 0,
         }
     }
 
@@ -912,25 +944,136 @@ impl SegmentedGraph {
     }
 }
 
-/// Decodes single rows of one side with a reusable buffer and a
-/// most-recent-row memo (consecutive lookups of the same row are free).
+/// Heap bytes a cached row of degree `d` costs beyond its `4·d` column
+/// bytes: its `u32` id and its `usize` offset.
+const HOT_ROW_OVERHEAD: u64 = 4 + std::mem::size_of::<usize>() as u64;
+
+/// Bytes of a row cache holding every row of `deg` with degree ≥ `t`
+/// (`t ≥ 1`): ids, offsets (one leading), columns. 0 when no row
+/// qualifies, since nothing is then allocated.
+fn hot_bytes(deg: &[u32], t: u32) -> u64 {
+    let (mut rows, mut cost) = (0u64, 0u64);
+    for &d in deg.iter().filter(|&&d| d >= t) {
+        rows += 1;
+        cost = cost.saturating_add(4 * u64::from(d) + HOT_ROW_OVERHEAD);
+    }
+    if rows == 0 {
+        0
+    } else {
+        cost.saturating_add(std::mem::size_of::<usize>() as u64)
+    }
+}
+
+/// The smallest degree threshold `t ≥ 1` whose whole degree classes
+/// (every row of degree ≥ `t`) fit `cache_bytes`. `max_deg + 1` — an
+/// empty cache — when not even the highest class fits; degree-0 rows are
+/// never cached. [`hot_bytes`] falls as `t` rises, so a binary search
+/// over `1..=max_deg + 1` finds it without allocating.
+fn cache_threshold(deg: &[u32], cache_bytes: u64) -> u32 {
+    let max_deg = deg.iter().copied().max().unwrap_or(0);
+    let (mut lo, mut hi) = (1u64, u64::from(max_deg) + 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if hot_bytes(deg, mid as u32) <= cache_bytes {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo.min(u64::from(u32::MAX)) as u32
+}
+
+/// The decoded rows of one side with degree ≥ `min_deg`, in CSR form
+/// over the sorted ids.
+#[derive(Debug)]
+struct HotRows {
+    min_deg: u32,
+    ids: Vec<u32>,
+    ptr: Vec<usize>,
+    cols: Vec<u32>,
+}
+
+/// Decodes single rows of one side: rows of degree ≥ the cache threshold
+/// from a cache filled once in one windowed pass, the rest through one
+/// positioned read each into a reusable buffer with a most-recent-row
+/// memo (consecutive lookups of the same row are free).
 #[derive(Debug)]
 pub struct RowReader<'g> {
     graph: &'g SegmentedGraph,
     side: Side,
+    cache_bytes: u64,
+    /// `None` until [`RowReader::fill`] runs (explicitly or on the first
+    /// [`RowReader::row`]).
+    hot: Option<HotRows>,
     bytes: Vec<u8>,
     vals: Vec<u32>,
     last: usize,
+    fetched: u64,
 }
 
 impl RowReader<'_> {
-    /// Decode (or replay) the neighbour row of vertex `u`.
+    /// Decode every row of degree ≥ the cache threshold in one windowed
+    /// [`SegmentedGraph::for_each_row`] pass over the span of cached ids.
+    /// Runs once; later calls are free. Every buffer is reserved at its
+    /// exact final size from the resident degree array.
+    pub fn fill(&mut self) -> Result<(), IoError> {
+        if self.hot.is_some() {
+            return Ok(());
+        }
+        let deg = self.graph.degrees(self.side);
+        let min_deg = cache_threshold(deg, self.cache_bytes);
+        let (mut rows, mut nnz) = (0usize, 0usize);
+        let (mut lo, mut hi) = (usize::MAX, 0usize);
+        for (u, &d) in deg.iter().enumerate() {
+            if d >= min_deg {
+                rows += 1;
+                nnz += d as usize;
+                lo = lo.min(u);
+                hi = u + 1;
+            }
+        }
+        let mut hot = HotRows {
+            min_deg,
+            ids: Vec::with_capacity(rows),
+            ptr: Vec::with_capacity(if rows == 0 { 0 } else { rows + 1 }),
+            cols: Vec::with_capacity(nnz),
+        };
+        if rows > 0 {
+            hot.ptr.push(0);
+            // Half the allowance per window: the encoded window and its
+            // decoded rows are alive together while the cache grows.
+            let window = (self.cache_bytes / 2).max(4096);
+            self.graph
+                .for_each_row(self.side, lo, hi, window, |u, row| {
+                    if deg[u] >= min_deg {
+                        hot.ids.push(u as u32);
+                        hot.cols.extend_from_slice(row);
+                        hot.ptr.push(hot.cols.len());
+                    }
+                    Ok(())
+                })?;
+        }
+        self.hot = Some(hot);
+        Ok(())
+    }
+
+    /// The neighbour row of vertex `u`: from the cache when its degree
+    /// is at or above the threshold, else decoded (or replayed) from one
+    /// positioned read. Fills the cache first if it has not been.
     pub fn row(&mut self, u: usize) -> Result<&[u32], IoError> {
+        self.fill()?;
+        let deg = self.graph.degrees(self.side)[u];
+        if let Some(hot) = &self.hot {
+            if deg >= hot.min_deg {
+                if let Ok(i) = hot.ids.binary_search(&(u as u32)) {
+                    return Ok(&hot.cols[hot.ptr[i]..hot.ptr[i + 1]]);
+                }
+            }
+        }
         if u == self.last {
             return Ok(&self.vals);
         }
         let idx = self.graph.index(self.side);
-        let deg = self.graph.degrees(self.side)[u] as usize;
         let ncols = match self.side {
             Side::V1 => self.graph.nv2(),
             Side::V2 => self.graph.nv1(),
@@ -938,10 +1081,31 @@ impl RowReader<'_> {
         let len = (idx[u + 1] - idx[u]) as usize;
         self.bytes.resize(len, 0);
         self.graph.read_at(idx[u], &mut self.bytes)?;
-        decode_row(&self.bytes, deg, ncols, &mut self.vals)
+        self.fetched += 1;
+        decode_row(&self.bytes, deg as usize, ncols, &mut self.vals)
             .map_err(|err| format_err(format!("row {u}: {err}")))?;
         self.last = u;
         Ok(&self.vals)
+    }
+
+    /// Rows held by the cache (0 before [`RowReader::fill`]).
+    pub fn cached_rows(&self) -> usize {
+        self.hot.as_ref().map_or(0, |h| h.ids.len())
+    }
+
+    /// Heap bytes of the cache: the reserved ids, offsets and columns.
+    pub fn cached_bytes(&self) -> u64 {
+        self.hot.as_ref().map_or(0, |h| {
+            (4 * h.ids.capacity()
+                + std::mem::size_of::<usize>() * h.ptr.capacity()
+                + 4 * h.cols.capacity()) as u64
+        })
+    }
+
+    /// Cold rows fetched so far: one positioned read each (memo replays
+    /// and cache hits excluded).
+    pub fn rows_fetched(&self) -> u64 {
+        self.fetched
     }
 }
 
@@ -1573,10 +1737,13 @@ mod tests {
         for v in 3..17 {
             assert_eq!(seg.neighbors_v2(v), g.neighbors_v2(v));
         }
-        // Single-row reader with memoized repeats.
-        let mut rr = sg.row_reader(Side::V2);
-        for v in [0usize, 4, 4, 18, 2] {
-            assert_eq!(rr.row(v).unwrap(), g.neighbors_v2(v));
+        // Single-row reader with memoized repeats, without and with a
+        // row cache.
+        for cache_bytes in [0, 64, 1 << 20] {
+            let mut rr = sg.row_reader(Side::V2, cache_bytes);
+            for v in [0usize, 4, 4, 18, 2] {
+                assert_eq!(rr.row(v).unwrap(), g.neighbors_v2(v));
+            }
         }
         // Streaming row visitor with a tiny window (forces many reads).
         let mut seen = 0usize;
@@ -1587,6 +1754,110 @@ mod tests {
         })
         .unwrap();
         assert_eq!(seen, 23);
+    }
+
+    /// A skewed graph with isolated vertices on both sides: V2 degrees
+    /// fall from 12 to 1, and the last three V2 vertices have none.
+    fn skewed_graph() -> BipartiteGraph {
+        let edges: Vec<(u32, u32)> = (0..12u32)
+            .flat_map(|v| (0..12 - v).map(move |u| (u, v)))
+            .collect();
+        BipartiteGraph::from_edges(14, 15, &edges).unwrap()
+    }
+
+    fn open_skewed(tag: &str) -> (BipartiteGraph, SegmentedGraph) {
+        let g = skewed_graph();
+        let path = tmp_dir(tag).join("g.bfly");
+        write_bfly_file(&g, &path).unwrap();
+        let sg = SegmentedGraph::open(&path).unwrap();
+        (g, sg)
+    }
+
+    /// Read every V2 row twice through `rr` and check it against `g`.
+    fn read_all(rr: &mut RowReader<'_>, g: &BipartiteGraph) {
+        for _ in 0..2 {
+            for v in 0..g.nv2() {
+                assert_eq!(rr.row(v).unwrap(), g.neighbors_v2(v), "row {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_cache_holds_every_row_when_all_fit() {
+        let (g, sg) = open_skewed("cache-all");
+        let deg = sg.degrees(Side::V2);
+        assert_eq!(cache_threshold(deg, u64::MAX), 1);
+        let mut rr = sg.row_reader(Side::V2, u64::MAX);
+        rr.fill().unwrap();
+        assert_eq!(rr.cached_rows(), 12);
+        assert_eq!(rr.cached_bytes(), hot_bytes(deg, 1));
+        read_all(&mut rr, &g);
+        // Only the three empty rows, which are never cached, read cold.
+        assert_eq!(rr.rows_fetched(), 6);
+    }
+
+    #[test]
+    fn row_cache_is_empty_when_no_row_fits() {
+        let (g, sg) = open_skewed("cache-none");
+        let deg = sg.degrees(Side::V2);
+        let smallest_class = hot_bytes(deg, 12);
+        for cache_bytes in [0, smallest_class - 1] {
+            assert_eq!(cache_threshold(deg, cache_bytes), 13);
+            let mut rr = sg.row_reader(Side::V2, cache_bytes);
+            rr.fill().unwrap();
+            assert_eq!((rr.cached_rows(), rr.cached_bytes()), (0, 0));
+            read_all(&mut rr, &g);
+            // Every non-repeated lookup is cold: two passes over 15 rows.
+            assert_eq!(rr.rows_fetched(), 30);
+        }
+    }
+
+    #[test]
+    fn row_cache_threshold_sits_on_degree_class_boundaries() {
+        let (g, sg) = open_skewed("cache-edge");
+        let deg = sg.degrees(Side::V2);
+        for t in 1..=12u32 {
+            let exact = hot_bytes(deg, t);
+            assert_eq!(cache_threshold(deg, exact), t, "allowance at class {t}");
+            assert_eq!(
+                cache_threshold(deg, exact - 1),
+                t + 1,
+                "one byte short of class {t}"
+            );
+            let mut rr = sg.row_reader(Side::V2, exact);
+            rr.fill().unwrap();
+            // Degrees 12..=t, one row each, at exactly the allowance.
+            assert_eq!(rr.cached_rows(), (13 - t) as usize);
+            assert_eq!(rr.cached_bytes(), exact);
+            read_all(&mut rr, &g);
+            let cold = deg.iter().filter(|&&d| d < t).count() as u64;
+            assert_eq!(rr.rows_fetched(), 2 * cold);
+        }
+    }
+
+    #[test]
+    fn row_cache_never_holds_degree_zero_rows() {
+        let (g, sg) = open_skewed("cache-zero");
+        let deg = sg.degrees(Side::V2);
+        assert_eq!(deg.iter().filter(|&&d| d == 0).count(), 3);
+        // An allowance that would fit the empty rows too still caches
+        // only the 12 non-empty ones.
+        let mut rr = sg.row_reader(Side::V2, hot_bytes(deg, 1) + 1000);
+        rr.fill().unwrap();
+        assert_eq!(rr.cached_rows(), 12);
+        read_all(&mut rr, &g);
+        assert_eq!(rr.rows_fetched(), 6, "the three empty rows read cold");
+        // An edgeless side caches nothing.
+        let empty = SegmentedGraph::open({
+            let path = tmp_dir("cache-edgeless").join("e.bfly");
+            write_bfly_file(&BipartiteGraph::empty(3, 4), &path).unwrap();
+            path
+        })
+        .unwrap();
+        assert_eq!(cache_threshold(empty.degrees(Side::V2), u64::MAX), 1);
+        let mut rr = empty.row_reader(Side::V2, u64::MAX);
+        rr.fill().unwrap();
+        assert_eq!((rr.cached_rows(), rr.cached_bytes()), (0, 0));
     }
 
     #[test]

@@ -11,13 +11,19 @@
 
 use std::sync::Mutex;
 
-use bfly::core::telemetry::InMemoryRecorder;
+use bfly::core::telemetry::{Counter, InMemoryRecorder};
 use bfly::core::testkit::fixture_battery;
-use bfly::core::{count_adaptive, count_segmented, ResourceBudget};
+use bfly::core::{
+    count_adaptive, count_segmented, count_segmented_budgeted_recorded, ResourceBudget,
+};
+use bfly::graph::generators::chung_lu;
 use bfly::graph::io::IoError;
 use bfly::graph::{
-    convert_to_bfly, is_bfly_file, read_bfly_file, write_bfly_file, SegmentedGraph, TextFormat,
+    convert_to_bfly, is_bfly_file, read_bfly_file, write_bfly_file, SegmentedGraph, Side,
+    TextFormat,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
@@ -224,5 +230,73 @@ fn checkpointed_count_rides_out_transient_faults() {
     assert_eq!(r.value.0, want);
     let (retries, _) = sg.retry_stats();
     assert_eq!(retries, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A skewed graph small enough that, at 4 shards, the wedge-weight scan
+/// and the row-cache fill each take one positioned read — both payloads
+/// fit the 4 KiB minimum stream window, encoded and decoded — so read 1
+/// is the scan and read 2 is the fill. The cache allowance (a quarter of
+/// the decoded partition rows) holds only part of the opposite side.
+fn fill_fault_graph(dir: &std::path::Path) -> (u64, std::path::PathBuf) {
+    let g = chung_lu(60, 200, 900, 0.9, 0.9, &mut StdRng::seed_from_u64(3));
+    let path = dir.join("g.bfly");
+    write_bfly_file(&g, &path).unwrap();
+    let sg = SegmentedGraph::open(&path).unwrap();
+    for side in [Side::V1, Side::V2] {
+        let n = sg.side_len(side);
+        assert!(sg.payload_bytes(side, 0, n) <= 4096 && 4 * sg.nedges() <= 4096);
+    }
+    let want = count_adaptive(&g).0;
+    let mut rec = InMemoryRecorder::new();
+    assert_eq!(count_4_shards(&sg, &mut rec).unwrap(), want);
+    let rows = rec.gauge_value("row_cache.rows").unwrap();
+    assert!(rows > 0.0 && rows < 200.0, "partial cache: {rows} rows");
+    (want, path)
+}
+
+fn count_4_shards(
+    sg: &SegmentedGraph,
+    rec: &mut InMemoryRecorder,
+) -> Result<u64, bfly::core::BflyError> {
+    count_segmented_budgeted_recorded(sg, Some(4), None, &ResourceBudget::unlimited(), rec)
+        .map(|r| r.value.0)
+}
+
+#[test]
+fn transient_faults_in_the_row_cache_fill_are_retried_to_an_exact_count() {
+    let _guard = env_guard();
+    let dir = tmp_dir("fill-transient");
+    let (want, path) = fill_fault_graph(&dir);
+    let sg = SegmentedGraph::open(&path).unwrap();
+    sg.inject_transient_read_faults(2, 2);
+    let mut rec = InMemoryRecorder::new();
+    assert_eq!(count_4_shards(&sg, &mut rec).unwrap(), want);
+    assert_eq!(sg.retry_stats(), (2, 0));
+    assert_eq!(rec.counter(Counter::IoRetries), 2);
+    assert!(rec.gauge_value("row_cache.rows").unwrap() > 0.0);
+    assert!(rec.gauge_value("rows_fetched").unwrap() > 0.0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hard_fault_in_the_row_cache_fill_is_a_typed_error() {
+    let _guard = env_guard();
+    let dir = tmp_dir("fill-hard");
+    let (_, path) = fill_fault_graph(&dir);
+    std::env::set_var("BFLY_FAULT_READ_ERROR_AT", "2");
+    let sg = SegmentedGraph::open(&path).unwrap();
+    std::env::remove_var("BFLY_FAULT_READ_ERROR_AT");
+    let mut rec = InMemoryRecorder::new();
+    match count_4_shards(&sg, &mut rec).unwrap_err() {
+        bfly::core::BflyError::Io(IoError::Io(e)) => {
+            assert!(e.to_string().contains("positioned read 2"), "got: {e}");
+        }
+        other => panic!("expected runtime io error, got {other:?}"),
+    }
+    assert_eq!(sg.retry_stats(), (0, 0));
+    // The fill failed before any shard counted.
+    assert_eq!(rec.counter(Counter::ShardsProcessed), 0);
+    assert_eq!(rec.gauge_value("row_cache.rows"), Some(0.0));
     let _ = std::fs::remove_dir_all(&dir);
 }
